@@ -8,6 +8,7 @@ A dataset root is laid out as ``<root>/<category>/points/<id>.pts`` and
 and ``test.txt`` manifests (one id per line) next to them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +48,19 @@ class PointCloud:
         return PointCloud(self.points.copy(), labels, self.category)
 
 
+def _line_of_row(path, row):
+    """Line number of the ``row``-th (0-based) non-blank line of a file."""
+    with open(path) as fh:
+        linenos = (n for n, line in enumerate(fh, start=1) if line.split())
+        return next(itertools.islice(linenos, row, None), "?")
+
+
 def load_cloud(points_path, labels_path=None, category=""):
-    """Parse a points file (and optional labels file) into a PointCloud."""
+    """Parse a points file (and optional labels file) into a PointCloud.
+
+    Empty files and non-finite coordinates (``nan``, ``inf``) raise a
+    ParseError naming the file, and the line where there is one.
+    """
     points = []
     with open(points_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -63,6 +75,15 @@ def load_cloud(points_path, labels_path=None, category=""):
             except ValueError:
                 raise ParseError(
                     f"{points_path}:{lineno}: not a real triple: {line!r}")
+    if not points:
+        raise ParseError(f"{points_path}: holds no points")
+    coords = np.array(points, dtype=np.float64)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ParseError(
+            f"{points_path}:{_line_of_row(points_path, row)}: non-finite "
+            f"coordinate in {coords[row].tolist()}")
     labels = None
     if labels_path is not None:
         labels = []
@@ -80,8 +101,7 @@ def load_cloud(points_path, labels_path=None, category=""):
             raise DataError(
                 f"{points_path} has {len(points)} points but {labels_path} "
                 f"has {len(labels)} labels")
-    return PointCloud(np.array(points, dtype=np.float64).reshape(-1, 3),
-                      None if labels is None else np.array(labels),
+    return PointCloud(coords, None if labels is None else np.array(labels),
                       category)
 
 

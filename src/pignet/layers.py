@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .tensor import (Tensor, _accumulate, _record, matmul, reduce_max,
-                     reduce_mean, relu, reshape, sqrt, transpose_last2,
-                     reduce_sum)
+from .tensor import (Tensor, _accumulate, _accurate_mean, _accurate_sum,
+                     _record, matmul, reduce_max, reduce_mean, relu, reshape,
+                     transpose_last2, reduce_sum)
 
 
 class PointwiseConv:
@@ -83,18 +83,48 @@ class BatchNorm:
                 raise DegenerateError(
                     f"cannot normalize a batch of {rows} value(s) per channel")
             axes = tuple(range(features.ndim - 1))
-            mean = reduce_mean(features, axes)
-            centered = features - mean
-            var = reduce_mean(centered * centered, axes)
-            out = centered / sqrt(var + self.eps) * self.gamma + self.beta
+            mean = _accurate_mean(features.data, axes, rows)
+            xhat = features.data - mean
+            var = _accurate_mean(xhat * xhat, axes, rows)
+            std = np.sqrt(var + self.eps)
+            xhat /= std  # centered values, normalized in place
+            out = self._train_node(features, xhat, 1.0 / std, axes, rows)
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean.data
-            self.running_var = (1.0 - m) * self.running_var + m * var.data
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_var = (1.0 - m) * self.running_var + m * var
             return out
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gamma * inv
         shift = self.beta - scale * self.running_mean
         return features * scale + shift
+
+    def _train_node(self, features, xhat, inv, axes, rows):
+        """One graph node with the closed-form gradient (Ioffe & Szegedy,
+        ICML 2015, section 3); float32 sums accumulate at float64."""
+        gamma, beta = self.gamma, self.beta
+        data = xhat * gamma.data
+        data += beta.data
+        out = _record(data, (features, gamma, beta), "batch_norm")
+        if out._parents:
+            def rule(g):
+                g_xhat = g * xhat
+                sum_g = _accurate_sum(g, axes)
+                sum_gx = _accurate_sum(g_xhat, axes)
+                if beta.requires_grad:
+                    _accumulate(beta, sum_g)
+                if gamma.requires_grad:
+                    _accumulate(gamma, sum_gx)
+                if features.requires_grad:
+                    # dx = gamma * inv * (g - sum(g) / N - xhat * sum(g * xhat) / N),
+                    # built in the buffer of g * xhat
+                    dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
+                    dx += g
+                    dx -= sum_g / rows
+                    dx *= gamma.data * inv
+                    _accumulate(features, dx)
+
+            out._backward_fn = rule
+        return out
 
     def named_parameters(self, prefix=""):
         return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
@@ -138,11 +168,11 @@ def channel_window_max(features, window=3):
     pads = [x[..., :1]] * half + [x] + [x[..., -1:]] * half
     padded = np.concatenate(pads, axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)
-    arg = windows.argmax(axis=-1)
-    # map window-local argmax back to a clamped source channel
-    src = np.clip(np.arange(k) - half + arg, 0, k - 1)
     out = _record(windows.max(axis=-1), (features,), "channel_window_max")
     if out._parents:
+        # map window-local argmax back to a clamped source channel
+        src = np.clip(np.arange(k) - half + windows.argmax(axis=-1), 0, k - 1)
+
         def rule(g):
             gx = np.zeros_like(x)
             flat_gx = gx.reshape(-1, k)

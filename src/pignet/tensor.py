@@ -163,8 +163,12 @@ def _record(data, parents, op):
 
 def _accumulate(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never ``g`` itself: add and sub hand one array to both
+        # operands, and reduce_sum hands over a read-only broadcast view
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -278,11 +282,15 @@ def matmul(a, b):
 
 
 def relu(a):
-    """Elementwise max(0, x); the gradient at exactly 0 is defined as 0."""
+    """Elementwise max(0, x); the gradient at exactly 0 is defined as 0.
+
+    NaN inputs stay NaN (with gradient 0), so a non-finite value surfaces
+    downstream instead of being masked to 0.
+    """
     a = as_tensor(a)
-    mask = a.data > 0
-    out = _record(np.where(mask, a.data, 0.0), (a,), "relu")
+    out = _record(np.maximum(a.data, 0), (a,), "relu")
     if out._parents:
+        mask = a.data > 0
         out._backward_fn = lambda g: _accumulate(a, g * mask)
     return out
 
@@ -303,15 +311,6 @@ def log(a):
     return out
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    root = np.sqrt(a.data)
-    out = _record(root, (a,), "sqrt")
-    if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, g * 0.5 / root)
-    return out
-
-
 def _norm_axes(axis, ndim):
     if axis is None:
         return tuple(range(ndim))
@@ -326,6 +325,13 @@ def _accurate_sum(data, axes):
     if data.dtype == np.float32:
         return data.sum(axis=axes, dtype=np.float64).astype(np.float32)
     return data.sum(axis=axes)
+
+
+def _accurate_mean(data, axes, count):
+    if data.dtype == np.float32:
+        return (data.sum(axis=axes, dtype=np.float64)
+                / count).astype(np.float32)
+    return data.mean(axis=axes)
 
 
 def reduce_sum(a, axis=None):
@@ -351,12 +357,7 @@ def reduce_mean(a, axis=None):
         count *= a.shape[ax]
     if count == 0:
         raise DomainError("cannot average over an empty axis")
-    if a.dtype == np.float32:
-        mean_data = (a.data.sum(axis=axes, dtype=np.float64)
-                     / count).astype(np.float32)
-    else:
-        mean_data = a.data.mean(axis=axes)
-    out = _record(mean_data, (a,), "mean")
+    out = _record(_accurate_mean(a.data, axes, count), (a,), "mean")
     if out._parents:
         kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
 
@@ -375,9 +376,10 @@ def reduce_max(a, axis):
     axis = axis % a.ndim
     if a.shape[axis] == 0:
         raise DomainError("cannot take a maximum over an empty axis")
-    idx = a.data.argmax(axis=axis)  # first occurrence on ties
     out = _record(a.data.max(axis=axis), (a,), "max")
     if out._parents:
+        idx = a.data.argmax(axis=axis)  # first occurrence on ties
+
         def rule(g):
             gx = np.zeros_like(a.data)
             np.put_along_axis(gx, np.expand_dims(idx, axis),

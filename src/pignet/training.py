@@ -108,6 +108,30 @@ def _load_training_clouds(records, num_parts):
     return clouds
 
 
+def _train_step(model, optimizer, clouds, batch_idx, epoch, train_config,
+                augment_config, lambda_reg):
+    """Augment ``clouds[batch_idx]`` (seeded by epoch and shape index), then
+    run one forward/backward/Adam step; returns the batch loss."""
+    batch_pts = []
+    batch_labels = []
+    for idx in batch_idx:
+        idx = int(idx)
+        shape = clouds[idx]
+        if augment_config is not None:
+            shape = augment(shape, augment_config,
+                            (train_config.seed, AUGMENT, epoch, idx))
+        batch_pts.append(shape.points)
+        batch_labels.append(shape.labels)
+    batch = Tensor(np.stack(batch_pts).astype(model.dtype))
+    logits, feature_mat = model.forward(batch, training=True)
+    loss = segmentation_loss(logits, np.stack(batch_labels), feature_mat,
+                             lambda_reg)
+    optimizer.zero_grad()
+    backward(loss)
+    optimizer.step()
+    return loss.item()
+
+
 @dataclass
 class TrainResult:
     model: object
@@ -142,25 +166,10 @@ def train_category(records, model_config, train_config, augment_config=None,
         epoch_loss = 0.0
         for start in range(0, len(order), train_config.batch_size):
             batch_idx = order[start:start + train_config.batch_size]
-            batch_pts = []
-            batch_labels = []
-            for idx in batch_idx:
-                idx = int(idx)
-                shape = clouds[idx]
-                if augment_config is not None:
-                    shape = augment(shape, augment_config,
-                                    (train_config.seed, AUGMENT, epoch, idx))
-                batch_pts.append(shape.points)
-                batch_labels.append(shape.labels)
-            batch = Tensor(np.stack(batch_pts).astype(model.dtype))
-            labels = np.stack(batch_labels)
-            logits, feature_mat = model.forward(batch, training=True)
-            loss = segmentation_loss(logits, labels, feature_mat,
-                                     model_config.lambda_reg)
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
-            epoch_loss += loss.item() * len(batch_idx)
+            loss = _train_step(model, optimizer, clouds, batch_idx, epoch,
+                               train_config, augment_config,
+                               model_config.lambda_reg)
+            epoch_loss += loss * len(batch_idx)
         entry = {"epoch": epoch, "train_loss": epoch_loss / len(clouds)}
         if eval_fn is not None:
             entry["val_instance_miou"] = eval_fn(model, epoch)
@@ -231,7 +240,7 @@ def read_checkpoint(path):
     def grab(count, what):
         nonlocal pos
         if pos + count > len(view):
-            raise FormatError(f"checkpoint truncated while reading {what}")
+            raise FormatError(f"{path} is truncated while reading {what}")
         piece = view[pos:pos + count]
         pos += count
         return piece
@@ -241,10 +250,16 @@ def read_checkpoint(path):
     (meta_len,) = struct.unpack("<I", grab(4, "metadata length"))
     try:
         meta = json.loads(bytes(grab(meta_len, "metadata")))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint metadata is not valid JSON: {exc}")
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise FormatError(f"{path} metadata is not valid JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path} metadata is not a JSON object")
+    tensor_count = meta.get("tensor_count", 0)
+    if type(tensor_count) is not int or tensor_count < 0:
+        raise FormatError(
+            f"{path} metadata has tensor_count {tensor_count!r}, not a count")
     arrays = {}
-    for _ in range(int(meta.get("tensor_count", 0))):
+    for _ in range(tensor_count):
         (name_len,) = struct.unpack("<I", grab(4, "tensor name length"))
         name = bytes(grab(name_len, "tensor name")).decode()
         (rank,) = struct.unpack("<I", grab(4, "tensor rank"))
@@ -294,9 +309,13 @@ def model_from_checkpoint(path, seed=0):
     from .model import ModelConfig
     meta, _ = read_checkpoint(path)
     cfg_dict = meta.get("config")
-    if cfg_dict is None:
+    if not isinstance(cfg_dict, dict):
         raise FormatError(f"{path} metadata lacks the model configuration")
-    config = ModelConfig(**cfg_dict)
+    try:
+        config = ModelConfig(**cfg_dict)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise FormatError(
+            f"{path} holds an invalid model configuration: {exc}") from exc
     model = build_model(config, seed=seed)
     load_checkpoint(path, model)
     return model
@@ -311,21 +330,7 @@ def time_epoch(model, optimizer, clouds, train_config, augment_config,
     rng = make_rng(train_config.seed, SHUFFLE, 999)
     order = rng.permutation(len(clouds))
     for begin in range(0, len(order), train_config.batch_size):
-        batch_idx = order[begin:begin + train_config.batch_size]
-        pts, labels = [], []
-        for idx in batch_idx:
-            idx = int(idx)
-            sampled = clouds[idx]
-            if augment_config is not None:
-                sampled = augment(sampled, augment_config,
-                                  (train_config.seed, AUGMENT, 0, idx))
-            pts.append(sampled.points)
-            labels.append(sampled.labels)
-        batch = Tensor(np.stack(pts).astype(model.dtype))
-        logits, feature_mat = model.forward(batch, training=True)
-        loss = segmentation_loss(logits, np.stack(labels), feature_mat,
-                                 model_config.lambda_reg)
-        optimizer.zero_grad()
-        backward(loss)
-        optimizer.step()
+        _train_step(model, optimizer, clouds,
+                    order[begin:begin + train_config.batch_size], 0,
+                    train_config, augment_config, model_config.lambda_reg)
     return time.perf_counter() - start

@@ -104,6 +104,27 @@ class TestTrainEvalPredict:
         after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
         assert snapshot == after
 
+    def test_eval_of_empty_points_file_exits_1(self, tmp_path, capsys):
+        root = synth(tmp_path, count=2)
+        config = tiny_config_file(tmp_path)
+        out = tmp_path / "runs"
+        assert run(["train", "--config", config, "--data-root", root,
+                    "--category", "lamp", "--epochs", "1", "--out", out]
+                   + TINY_MODEL_FLAGS) == 0
+        (train_dir,) = find_run_dirs(out)
+        shape_id = (root / "lamp" / "train.txt").read_text().split()[0]
+        empty = root / "lamp" / "points" / f"{shape_id}.pts"
+        empty.write_text("")
+        capsys.readouterr()
+        code = run(["eval", "--config", config, "--data-root", root,
+                    "--category", "lamp", "--split", "train", "--checkpoint",
+                    train_dir / "checkpoint.ckpt", "--out", out,
+                    "--points", "24"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(empty) in err
+        assert "Traceback" not in err
+
     def test_missing_data_root_exits_nonzero(self, tmp_path):
         code = run(["train", "--data-root", tmp_path / "nope", "--category",
                     "lamp", "--epochs", "1", "--out", tmp_path / "runs"])

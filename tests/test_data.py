@@ -48,6 +48,22 @@ class TestLoadSave:
             load_cloud(path)
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line_number(self, tmp_path, token):
+        # a blank line before the bad one: the line number counts it
+        path = tmp_path / "c.pts"
+        path.write_text(f"0 0 0\n\n{token} 1 2\n3 4 5\n")
+        with pytest.raises(ParseError) as err:
+            load_cloud(path)
+        assert f"{path}:3:" in str(err.value)
+
+    def test_empty_file_names_file(self, tmp_path):
+        path = tmp_path / "c.pts"
+        path.write_text("\n  \n")
+        with pytest.raises(ParseError) as err:
+            load_cloud(path)
+        assert str(path) in str(err.value)
+
     def test_roundtrip_six_decimals(self, tmp_path):
         cloud = make_cloud(20, seed=1)
         save_cloud(cloud, tmp_path / "c.pts", tmp_path / "c.seg")

@@ -123,6 +123,51 @@ class TestBatchNorm:
         assert err < 1e-3
 
 
+    def test_batched_matches_decomposed_formula(self):
+        bn = BatchNorm(4)
+        rng = np.random.default_rng(20)
+        bn.gamma.data[:] = rng.normal(size=4)
+        bn.beta.data[:] = rng.normal(size=4)
+        x = rng.normal(1.0, 2.0, size=(3, 5, 4))
+        out = bn(t(x), training=True).data
+        mean = x.mean(axis=(0, 1))
+        var = ((x - mean) ** 2).mean(axis=(0, 1))
+        expected = ((x - mean) / np.sqrt(var + bn.eps) * bn.gamma.data
+                    + bn.beta.data)
+        assert np.abs(out - expected).max() < 1e-12
+
+    def test_one_graph_node(self):
+        bn = BatchNorm(2)
+        x = t(np.random.default_rng(21).normal(size=(2, 3, 2)), grad=True)
+        out = bn(x, training=True)
+        assert out._op == "batch_norm"
+        assert out._parents == (x, bn.gamma, bn.beta)
+
+    def test_gradient_batched(self):
+        bn = BatchNorm(3)
+        rng = np.random.default_rng(22)
+        bn.gamma.data[:] = rng.normal(size=3)
+        bn.beta.data[:] = rng.normal(size=3)
+        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 4, 3)))
+        err = finite_diff_check(
+            lambda: reduce_sum(bn(x, training=True) * weights),
+            [x, bn.gamma, bn.beta])
+        assert err < 1e-3
+
+    def test_gradient_only_input_requires_grad(self):
+        bn = BatchNorm(3)
+        rng = np.random.default_rng(23)
+        bn.gamma = Tensor(rng.normal(size=3))
+        bn.beta = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 4, 3)))
+        err = finite_diff_check(
+            lambda: reduce_sum(bn(x, training=True) * weights), [x])
+        assert err < 1e-3
+        assert bn.gamma.grad is None and bn.beta.grad is None
+
+
 class TestPooling:
     def test_max_over_points(self):
         out = max_over_points(t([[1.0, 3.0], [5.0, 2.0]]))

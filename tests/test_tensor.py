@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pignet.errors import DimensionError, DomainError, OracleError, UsageError
+from pignet.layers import channel_window_max
 from pignet.tensor import (Tensor, backward, concat, finite_diff_check,
                            graph_order, log_softmax, matmul, no_grad,
                            reduce_max, reduce_mean, reduce_sum, relu,
@@ -166,6 +167,31 @@ class TestRelu:
         backward(relu(x).sum())
         assert np.array_equal(x.grad, [0.0])
 
+    def test_nan_propagates_with_zero_gradient(self):
+        # a NaN input surfaces downstream instead of being masked to 0
+        x = t([np.nan, -1.0, 0.0, 2.0])
+        out = relu(x)
+        assert np.isnan(out.data[0])
+        assert np.array_equal(out.data[1:], [0.0, 0.0, 2.0])
+        backward(out.sum())
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
+
+class TestNoGradSkipsBackwardWork:
+    @pytest.mark.parametrize("op", [
+        relu,
+        lambda x: reduce_max(x, axis=-2),
+        channel_window_max,
+    ], ids=["relu", "reduce_max", "channel_window_max"])
+    def test_values_match_recording_pass(self, op):
+        x = t(np.random.default_rng(30).normal(size=(2, 6, 5)))
+        recorded = op(x)
+        with no_grad():
+            plain = op(x)
+        assert recorded._parents and not plain._parents
+        assert plain._backward_fn is None and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -193,6 +219,22 @@ class TestBackward:
         y = x * x + x * 3.0
         backward(y.sum())
         assert np.allclose(x.grad, [7.0])
+
+    def test_first_gradients_do_not_alias(self):
+        a = t([1.0, 2.0])
+        b = t([3.0, 4.0])
+        backward(reduce_sum((a + b) * t([5.0, 6.0], grad=False)))
+        assert a.grad is not b.grad
+        assert np.array_equal(a.grad, [5.0, 6.0])
+        assert np.array_equal(b.grad, [5.0, 6.0])
+        a.grad += 1.0  # owned, writable arrays
+        assert np.array_equal(b.grad, [5.0, 6.0])
+
+    def test_self_sum_gradient_is_two(self):
+        x = t([1.0, -2.0, 3.0])
+        backward(reduce_sum(x + x))
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+        assert x.grad.flags.writeable
 
     def test_graph_order_is_topological(self):
         x = t([1.0])

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,10 @@ from pignet.errors import (CompatibilityError, ConfigError, DataError,
 from pignet.model import ModelConfig, build_model
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor
-from pignet.training import (AdamOptimizer, TrainConfig, load_checkpoint,
-                             model_from_checkpoint, parameter_hash,
-                             read_checkpoint, save_checkpoint, train_category)
+from pignet.training import (MAGIC, AdamOptimizer, TrainConfig,
+                             load_checkpoint, model_from_checkpoint,
+                             parameter_hash, read_checkpoint, save_checkpoint,
+                             train_category)
 
 
 def tiny_model_config(**kwargs):
@@ -211,6 +215,58 @@ class TestCheckpoints:
         assert restored.config == config
         pts = np.random.default_rng(1).normal(size=(20, 3))
         assert np.array_equal(restored.predict(pts), result.model.predict(pts))
+
+
+class TestCorruptMetadata:
+    @staticmethod
+    def rewrite_meta(path, edit):
+        """Rewrite the JSON metadata block of a checkpoint in place."""
+        blob = path.read_bytes()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+        meta = json.loads(blob[start:start + length])
+        edit(meta)
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes))
+                         + meta_bytes + blob[start + length:])
+
+    @staticmethod
+    def assert_rejected(read, path):
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_model_config(), seed=0))
+        return path
+
+    def test_unknown_config_key(self, checkpoint):
+        self.rewrite_meta(checkpoint,
+                          lambda meta: meta["config"].update(depth=3))
+        self.assert_rejected(model_from_checkpoint, checkpoint)
+
+    def test_string_inception_plan(self, checkpoint):
+        self.rewrite_meta(
+            checkpoint,
+            lambda meta: meta["config"].update(inception_plan="4,8"))
+        self.assert_rejected(model_from_checkpoint, checkpoint)
+
+    @pytest.mark.parametrize("meta_bytes", [b"[1, 2]", b'{"a": "\xff"}'],
+                             ids=["not_an_object", "not_utf8"])
+    def test_unreadable_metadata(self, tmp_path, meta_bytes):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes))
+                         + meta_bytes)
+        self.assert_rejected(read_checkpoint, path)
+
+    @pytest.mark.parametrize("count", ["many", 2.5, None])
+    def test_non_integer_tensor_count(self, checkpoint, count):
+        self.rewrite_meta(checkpoint,
+                          lambda meta: meta.update(tensor_count=count))
+        self.assert_rejected(read_checkpoint, checkpoint)
+        self.assert_rejected(model_from_checkpoint, checkpoint)
 
 
 class TestTrainConfigValidation:
