@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from pignet.model import (ModelConfig, PigNet, PointNetBaseline, build_model,
                           segmentation_loss)
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor, finite_diff_check
+from pignet.training import AdamOptimizer, TrainConfig, _named_arrays
 
 
 def tiny_config(**kwargs):
@@ -18,6 +20,21 @@ def tiny_config(**kwargs):
                 head_widths=(16, 16))
     base.update(kwargs)
     return ModelConfig(**base)
+
+
+def construction_configs():
+    """One configuration per structural switch, plus the comparator."""
+    return [
+        tiny_config(),
+        tiny_config(use_inception=False),
+        tiny_config(use_gap=False),
+        tiny_config(feature_transform=False),
+        tiny_config(feature_reduce=8),
+        tiny_config(inception_plan=(8, 16, 24), head_widths=(16, 8)),
+        ModelConfig(num_parts=5, arch="pointnet",
+                    tnet_conv_widths=(8, 16), tnet_fc_widths=(16,),
+                    head_widths=(16,), baseline_plan=(8, 8, 16, 16, 32)),
+    ]
 
 
 def cloud(n=16, seed=0):
@@ -187,18 +204,7 @@ class TestParameterCounts:
         assert sum(p.data.size for _, p in conv.named_parameters()) == 16
 
     def test_closed_form_matches_construction(self):
-        configs = [
-            tiny_config(),
-            tiny_config(use_inception=False),
-            tiny_config(use_gap=False),
-            tiny_config(feature_transform=False),
-            tiny_config(feature_reduce=8),
-            tiny_config(inception_plan=(8, 16, 24), head_widths=(16, 8)),
-            ModelConfig(num_parts=5, arch="pointnet",
-                        tnet_conv_widths=(8, 16), tnet_fc_widths=(16,),
-                        head_widths=(16,), baseline_plan=(8, 8, 16, 16, 32)),
-        ]
-        for config in configs:
+        for config in construction_configs():
             model = build_model(config, seed=0)
             assert count_parameters(model) == parameter_count(config)
 
@@ -275,3 +281,53 @@ class TestFullModelGradient:
             return segmentation_loss(logits, labels, mat, config.lambda_reg)
 
         assert finite_diff_check(f, params) < 1e-3
+
+
+def _layout_and_init_digest(model):
+    """SHA-256 over the ordered checkpoint names, shapes and initial values."""
+    optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+    digest = hashlib.sha256()
+    for name, arr in _named_arrays(model, optimizer):
+        digest.update(name.encode())
+        digest.update(str(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _train_logits_digest(model):
+    batch = np.random.default_rng(0).normal(size=(2, 32, 3))
+    logits, _ = model.forward(batch, training=True)
+    data = np.ascontiguousarray(logits.data, dtype="<f8")
+    return hashlib.sha256(data.tobytes()).hexdigest()
+
+
+# (layout and init digest, train-mode logits digest) per configuration of
+# construction_configs() followed by tiny_config(dtype="float32"); a change
+# here means old checkpoints no longer load or a seed no longer replays
+GOLDEN_DIGESTS = [
+    ("959ffbdc65ae9ec42195d68bd9833689c5275b406710804a4487cff66cec246a",
+     "b18d425e9c3e147e0bb2406a119dc8cb9d47542130f91a74e7accc84466f70d9"),
+    ("9d2574fe98b081e412282c95590804ec16e34b69d162544b0b29391bdb84fe92",
+     "01d03028d3b557b4d7070077afd4ebc984a1324f1bc67a6638c85917b52e8858"),
+    ("959ffbdc65ae9ec42195d68bd9833689c5275b406710804a4487cff66cec246a",
+     "924060949b60abd7ff47640720340461cfce8013295d4e4ee593d4b64f4e25dd"),
+    ("14a5b13aba647a1703d0cfc481eb02de76ab03fbb2ae912de8d0f7a9b8e4381d",
+     "ec7c6bfc3df9097e9c7fa9f53f568833548fc60222915dc73a5b4ac3e1d4f990"),
+    ("c245747a8050871ce53be7d5bf4cd3643850da88d8c8a7eb85099097ac42cc28",
+     "0f390f9899c96542167c828e77c202261b5c0780a5e1dcc51c7f22e38505085b"),
+    ("738fd86103c0048a5abecad0719307ff7ed1bde9671d90f8ae23f2180df3d30a",
+     "b4ce2b3c6019405ec957319f9c4de6d740d32a9f7102ca0c6a9ac287cae9485c"),
+    ("aed89538a9d86ebe083423c25bcaa2c7a398ce8aaa9c068443173b0c6d8b64d7",
+     "d8a3f5ee9131ec70add8f0f92f50475402638aa7ec8d4dc9bb11a908cdfe318e"),
+    ("a474aebe48b8add3fef9dad7d412790cfe51baf782c934a4b4b5760f644b63f8",
+     "17c5c7919693eb8dd5f6f7c0c4203038deb093430f59363411a43bf7be539072"),
+]
+
+
+def test_checkpoint_layout_and_init_golden():
+    configs = construction_configs() + [tiny_config(dtype="float32")]
+    assert len(configs) == len(GOLDEN_DIGESTS)
+    for config, expected in zip(configs, GOLDEN_DIGESTS):
+        model = build_model(config, seed=0)
+        got = (_layout_and_init_digest(model), _train_logits_digest(model))
+        assert got == expected, config
