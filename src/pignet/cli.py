@@ -180,11 +180,35 @@ class RunConfig:
         return ModelConfig(**kwargs)
 
     def dump(self, path):
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, keys in self.values.items():
             parser[section] = {k: str(v) for k, v in keys.items()}
         with open(path, "w") as fh:
             parser.write(fh)
+
+
+def _read_ini(path):
+    """Parse an INI file; malformed syntax or bytes raise ConfigError naming
+    the file and, where there is one, the line. Values are literal: a '%'
+    is not an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text") from exc
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        # drop the "While reading from '<path>' [line N]: " of duplicates
+        detail = str(exc).splitlines()[0].split("]: ", 1)[-1]
+        if getattr(exc, "errors", None):  # a ParsingError: [(line, text)]
+            line, text = exc.errors[0]
+            detail = f"cannot parse {text}"
+        where = str(path) if line is None else f"{path}:{line}"
+        raise ConfigError(f"{where}: {detail}") from exc
+    if not read:
+        raise FileNotFoundError(f"config file not found: {path}")
+    return parser
 
 
 def load_run_config(config_path=None, overrides=()):
@@ -192,10 +216,7 @@ def load_run_config(config_path=None, overrides=()):
     unknown sections or keys."""
     values = {section: dict(keys) for section, keys in _DEFAULTS.items()}
     if config_path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
-            raise FileNotFoundError(f"config file not found: {config_path}")
+        parser = _read_ini(config_path)
         for section in parser.sections():
             if section not in values:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -210,8 +231,10 @@ def load_run_config(config_path=None, overrides=()):
     return RunConfig(values)
 
 
-def _make_run_dir(base):
-    base = Path(base)
+def _make_run_dir(cfg):
+    """A fresh ``run-<timestamp>`` directory under the configured output
+    directory, holding a copy of the effective configuration."""
+    base = Path(cfg.out)
     base.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = base / f"run-{stamp}"
@@ -220,6 +243,7 @@ def _make_run_dir(base):
         suffix += 1
         run_dir = base / f"run-{stamp}-{suffix}"
     run_dir.mkdir()
+    cfg.dump(run_dir / "config.ini")
     return run_dir
 
 
@@ -258,6 +282,13 @@ def _require(value, what):
     return value
 
 
+def _config_and_split(args):
+    """The run configuration, and the dataset split it names."""
+    cfg = load_run_config(args.config, _common_overrides(args))
+    root = _require(cfg.root, "--data-root")
+    return cfg, load_split(root, _require(cfg.category, "--category"))
+
+
 def _resolve_parts(cfg, split):
     configured = cfg.model_kwargs["num_parts"]
     inferred = infer_num_parts(split)
@@ -271,16 +302,12 @@ def _resolve_parts(cfg, split):
 
 
 def cmd_train(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
-    root = _require(cfg.root, "--data-root")
-    category = _require(cfg.category, "--category")
-    split = load_split(root, category)
+    cfg, split = _config_and_split(args)
     num_parts = _resolve_parts(cfg, split)
     model_config = cfg.model_config(num_parts)
-    run_dir = _make_run_dir(cfg.out)
-    cfg.dump(run_dir / "config.ini")
+    run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)
-    log(f"training {model_config.arch} on {category!r} "
+    log(f"training {model_config.arch} on {cfg.category!r} "
         f"({len(split.train)} shapes, {num_parts} parts) -> {run_dir}")
     eval_fn = None
     if split.val:
@@ -308,15 +335,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
-    root = _require(cfg.root, "--data-root")
-    category = _require(cfg.category, "--category")
-    split = load_split(root, category)
+    cfg, split = _config_and_split(args)
     records = split.records(args.split)
     model = model_from_checkpoint(args.checkpoint)
     report = evaluate_split(model, records, cfg.train_config.seed, cfg.points)
-    run_dir = _make_run_dir(cfg.out)
-    cfg.dump(run_dir / "config.ini")
+    run_dir = _make_run_dir(cfg)
     (run_dir / "report.tsv").write_text(report.to_tsv())
     (run_dir / "summary.txt").write_text(report.summary())
     print(report.summary(), end="")
@@ -325,14 +348,10 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
-    root = _require(cfg.root, "--data-root")
-    category = _require(cfg.category, "--category")
-    split = load_split(root, category)
+    cfg, split = _config_and_split(args)
     records = split.records(args.split)
     model = model_from_checkpoint(args.checkpoint)
-    run_dir = _make_run_dir(cfg.out)
-    cfg.dump(run_dir / "config.ini")
+    run_dir = _make_run_dir(cfg)
     ply_dir = run_dir / "ply"
     ply_dir.mkdir()
     for i, rec in enumerate(records):
@@ -347,14 +366,10 @@ def cmd_predict(args):
 
 
 def cmd_ablate(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
-    root = _require(cfg.root, "--data-root")
-    category = _require(cfg.category, "--category")
-    split = load_split(root, category)
+    cfg, split = _config_and_split(args)
     num_parts = _resolve_parts(cfg, split)
     eval_records = split.records(args.split) or split.train
-    run_dir = _make_run_dir(cfg.out)
-    cfg.dump(run_dir / "config.ini")
+    run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)
     rows = ablation_run(split.train, eval_records, cfg.model_config(num_parts),
                         cfg.train_config, cfg.augment_config, cfg.points,
@@ -366,18 +381,14 @@ def cmd_ablate(args):
 
 
 def cmd_robustness(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
-    root = _require(cfg.root, "--data-root")
-    category = _require(cfg.category, "--category")
-    split = load_split(root, category)
+    cfg, split = _config_and_split(args)
     records = split.records(args.split) or split.train
     model = model_from_checkpoint(args.checkpoint)
     baseline = None
     if args.baseline_checkpoint:
         baseline = model_from_checkpoint(args.baseline_checkpoint)
     grids = robustness_run(model, baseline, records, cfg.train_config.seed)
-    run_dir = _make_run_dir(cfg.out)
-    cfg.dump(run_dir / "config.ini")
+    run_dir = _make_run_dir(cfg)
     for name, grid in grids.items():
         (run_dir / f"robustness_{name}.tsv").write_text(robustness_tsv(grid))
         print(f"{name}:")

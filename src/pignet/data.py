@@ -191,12 +191,6 @@ def augment(cloud, cfg, rng):
     return PointCloud(pts, labels, cloud.category)
 
 
-def subsample_density(cloud, m, seed):
-    """Density corruption for the robustness grid; same contract as
-    sample_points."""
-    return sample_points(cloud, m, seed)
-
-
 def add_gaussian_noise(cloud, sigma, seed):
     """Perturbation corruption: independent N(0, sigma^2) on every coordinate."""
     if sigma < 0:

@@ -1,5 +1,5 @@
-"""mIoU evaluation, the ablation and robustness harnesses, complexity
-reporting, and colored PLY export of predictions.
+"""mIoU evaluation, the ablation and robustness harnesses, and colored PLY
+export of predictions.
 
 Instance mIoU averages the per-shape scores over all shapes; category mIoU
 averages the per-category means of those scores. A part absent from both
@@ -7,7 +7,6 @@ prediction and ground truth contributes an IoU of 1.
 """
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -17,11 +16,7 @@ from .errors import ConfigError, DataError, UsageError
 from .seeding import EVAL, NOISE
 from .data import add_gaussian_noise, load_cloud, normalize, sample_points
 from .model import build_model, count_parameters
-from .training import (AdamOptimizer, _load_training_clouds,
-                       parameter_hash, time_epoch, train_category)
-
-# full-scale reference parameter budgets used in the complexity report
-REFERENCE_PARAM_BUDGET = {"pignet": 2_900_000, "pointnet": 3_500_000}
+from .training import parameter_hash, train_category
 
 # fixed 8-color palette for exported part predictions (RGB)
 PART_PALETTE = [
@@ -244,44 +239,6 @@ def robustness_tsv(grid, densities=DENSITY_LEVELS, sigmas=NOISE_LEVELS):
         cells = "\t".join(f"{grid[(density, s)]:.6f}" for s in sigmas)
         lines.append(f"{density}\t{cells}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# complexity reporting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ComplexityReport:
-    param_count: int
-    train_seconds_per_epoch: float
-    inference_seconds_per_shape: float
-    notes: str
-
-    def summary(self):
-        return (f"parameters\t{self.param_count}\n"
-                f"train seconds/epoch\t{self.train_seconds_per_epoch:.3f}\n"
-                f"inference seconds/shape\t{self.inference_seconds_per_shape:.4f}\n"
-                f"{self.notes}\n")
-
-
-def complexity_report(model_config, train_records, train_config,
-                      augment_config=None, points=1024):
-    """Parameter count plus machine-specific wall-clock timings."""
-    model = build_model(model_config, seed=train_config.seed)
-    clouds = _load_training_clouds(train_records, model_config.num_parts)
-    optimizer = AdamOptimizer.for_model(model, train_config)
-    train_seconds = time_epoch(model, optimizer, clouds, train_config,
-                               augment_config, points, model_config)
-    start = time.perf_counter()
-    for i, cloud in enumerate(clouds):
-        sampled = sample_points(cloud, points, (train_config.seed, EVAL, i))
-        model.predict(sampled.points)
-    per_shape = (time.perf_counter() - start) / len(clouds)
-    budget = REFERENCE_PARAM_BUDGET[model_config.arch]
-    notes = (f"timings are machine-specific; full-scale reference budget for "
-             f"{model_config.arch} is {budget / 1e6:.1f}M parameters")
-    return ComplexityReport(count_parameters(model), train_seconds, per_shape,
-                            notes)
 
 
 # ---------------------------------------------------------------------------

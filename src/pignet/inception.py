@@ -4,10 +4,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import concat, relu
-from .layers import BatchNorm, PointwiseConv, channel_window_max
+from .layers import BatchNorm, Ladder, Module, PointwiseConv, channel_window_max
 
 
-class InceptionLayer:
+class InceptionLayer(Module):
     """Four-branch pointwise block with a channel max-pool branch.
 
     The entry convolution lifts the input to e channels; two sibling
@@ -38,86 +38,34 @@ class InceptionLayer:
         pooled = relu(self.bn_d(self.conv_d(channel_window_max(entry)), training))
         return concat([entry, left, right, pooled], axis=-1)
 
-    def named_parameters(self, prefix=""):
-        items = []
-        for tag in ("a", "b", "c", "d"):
-            conv = getattr(self, f"conv_{tag}")
-            bn = getattr(self, f"bn_{tag}")
-            items.extend(conv.named_parameters(f"{prefix}conv_{tag}/"))
-            items.extend(bn.named_parameters(f"{prefix}bn_{tag}/"))
-        return items
 
-    def named_state(self, prefix=""):
-        items = []
-        for tag in ("a", "b", "c", "d"):
-            bn = getattr(self, f"bn_{tag}")
-            items.extend(bn.named_state(f"{prefix}bn_{tag}/"))
-        return items
-
-
-class InceptionStack:
+class InceptionStack(Module):
     """Sequential inception layers; layer i+1 consumes 3 * e_i channels."""
 
     def __init__(self, plan, rng, c_in=3, dtype=np.float64):
         if not plan:
             raise ConfigError("inception plan must not be empty")
-        self.plan = tuple(plan)
-        self.layers = []
         width = c_in
-        for e in self.plan:
+        for i, e in enumerate(plan):
             layer = InceptionLayer(width, e, rng, dtype=dtype)
-            self.layers.append(layer)
+            setattr(self, f"layer{i}", layer)
             width = layer.out_channels
         self.out_channels = width
+
+    @property
+    def layers(self):
+        return self._numbered("layer")
 
     def __call__(self, features, training=False):
         for layer in self.layers:
             features = layer(features, training)
         return features
 
-    def named_parameters(self, prefix=""):
-        items = []
-        for i, layer in enumerate(self.layers):
-            items.extend(layer.named_parameters(f"{prefix}layer{i}/"))
-        return items
 
-    def named_state(self, prefix=""):
-        items = []
-        for i, layer in enumerate(self.layers):
-            items.extend(layer.named_state(f"{prefix}layer{i}/"))
-        return items
-
-
-class PlainConvStack:
+class PlainConvStack(Ladder):
     """Ablation stack: the same filter plan as plain convolutions, no branches."""
 
     def __init__(self, plan, rng, c_in=3, dtype=np.float64):
         if not plan:
             raise ConfigError("conv plan must not be empty")
-        self.plan = tuple(plan)
-        self.convs = []
-        self.bns = []
-        width = c_in
-        for w in self.plan:
-            self.convs.append(PointwiseConv(width, w, rng, bias=False, dtype=dtype))
-            self.bns.append(BatchNorm(w, dtype=dtype))
-            width = w
-        self.out_channels = width
-
-    def __call__(self, features, training=False):
-        for conv, bn in zip(self.convs, self.bns):
-            features = relu(bn(conv(features), training))
-        return features
-
-    def named_parameters(self, prefix=""):
-        items = []
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            items.extend(conv.named_parameters(f"{prefix}conv{i}/"))
-            items.extend(bn.named_parameters(f"{prefix}bn{i}/"))
-        return items
-
-    def named_state(self, prefix=""):
-        items = []
-        for i, bn in enumerate(self.bns):
-            items.extend(bn.named_state(f"{prefix}bn{i}/"))
-        return items
+        super().__init__(c_in, plan, rng, dtype)

@@ -15,7 +15,38 @@ from .tensor import (Tensor, _accumulate, _accurate_mean, _accurate_sum,
                      transpose_last2, reduce_sum)
 
 
-class PointwiseConv:
+class Module:
+    """Base of every block: parameters and state are found, not listed.
+
+    A parameter is an attribute holding a Tensor that requires a gradient;
+    a child is an attribute holding a Module, and its names get the prefix
+    ``attr/``. Both are walked in assignment order, so checkpoint tensors
+    come in the order the constructors built them.
+    """
+
+    def named_parameters(self, prefix=""):
+        items = []
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                items.extend(value.named_parameters(f"{prefix}{name}/"))
+            elif isinstance(value, Tensor) and value.requires_grad:
+                items.append((prefix + name, value))
+        return items
+
+    def named_state(self, prefix=""):
+        items = []
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                items.extend(value.named_state(f"{prefix}{name}/"))
+        return items
+
+    def _numbered(self, stem):
+        """The children registered as ``stem0``, ``stem1``, ..., in order."""
+        return [value for name, value in vars(self).items()
+                if name.startswith(stem) and name[len(stem):].isdigit()]
+
+
+class PointwiseConv(Module):
     """Shared linear map applied independently to every point.
 
     Input:
@@ -32,7 +63,6 @@ class PointwiseConv:
         if bias:
             self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)
         self.d_in = d_in
-        self.d_out = d_out
 
     def __call__(self, features):
         features = features if isinstance(features, Tensor) else Tensor(features)
@@ -45,14 +75,8 @@ class PointwiseConv:
             out = out + self.bias
         return out
 
-    def named_parameters(self, prefix=""):
-        items = [(prefix + "weight", self.weight)]
-        if self.bias is not None:
-            items.append((prefix + "bias", self.bias))
-        return items
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes with the biased statistics of the current batch,
@@ -126,18 +150,38 @@ class BatchNorm:
             out._backward_fn = rule
         return out
 
-    def named_parameters(self, prefix=""):
-        return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
-
     def named_state(self, prefix=""):
         return [(prefix + "running_mean", self.running_mean),
                 (prefix + "running_var", self.running_var)]
 
-    def load_state(self, name, value):
-        if name.endswith("running_mean"):
-            self.running_mean = value.astype(self.running_mean.dtype)
-        else:
-            self.running_var = value.astype(self.running_var.dtype)
+
+class Ladder(Module):
+    """Rungs of pointwise conv (no bias) -> batch norm -> ReLU.
+
+    Rung i is registered as ``conv{i}`` and ``bn{i}``; calling the ladder
+    returns the last rung's output (the input itself when there are none).
+    """
+
+    def __init__(self, c_in, widths, rng, dtype=np.float64):
+        width = c_in
+        for i, w in enumerate(widths):
+            setattr(self, f"conv{i}",
+                    PointwiseConv(width, w, rng, bias=False, dtype=dtype))
+            setattr(self, f"bn{i}", BatchNorm(w, dtype=dtype))
+            width = w
+        self.out_channels = width
+
+    def outputs(self, features, training=False):
+        """Every rung's output, first to last."""
+        outs = []
+        for conv, bn in zip(self._numbered("conv"), self._numbered("bn")):
+            features = relu(bn(conv(features), training))
+            outs.append(features)
+        return outs
+
+    def __call__(self, features, training=False):
+        outs = self.outputs(features, training)
+        return outs[-1] if outs else features
 
 
 def max_over_points(features):
@@ -184,29 +228,24 @@ def channel_window_max(features, window=3):
     return out
 
 
-class TNet:
+class TNet(Ladder):
     """Alignment network predicting a k-by-k transform from a feature map.
 
-    Pointwise convolutions (each with batch norm and ReLU) lift the features,
-    a point-axis max pools them into one descriptor, fully connected layers
-    shrink it, and a final affine maps to the k*k matrix. The affine starts
-    at zero weights with an identity bias, so a fresh network returns the
-    identity transform for any input.
+    Its ladder of pointwise convolutions (each with batch norm and ReLU)
+    lifts the features, a point-axis max pools them into one descriptor,
+    fully connected layers shrink it, and a final affine maps to the k*k
+    matrix. The affine starts at zero weights with an identity bias, so a
+    fresh network returns the identity transform for any input.
     """
 
     def __init__(self, k, rng, conv_widths=(64, 128, 1024),
                  fc_widths=(512, 256), dtype=np.float64):
         self.k = k
-        self.convs = []
-        self.bns = []
-        width = k
-        for w in conv_widths:
-            self.convs.append(PointwiseConv(width, w, rng, bias=False, dtype=dtype))
-            self.bns.append(BatchNorm(w, dtype=dtype))
-            width = w
-        self.fcs = []
-        for w in fc_widths:
-            self.fcs.append(PointwiseConv(width, w, rng, bias=True, dtype=dtype))
+        super().__init__(k, conv_widths, rng, dtype)
+        width = self.out_channels
+        for i, w in enumerate(fc_widths):
+            setattr(self, f"fc{i}",
+                    PointwiseConv(width, w, rng, bias=True, dtype=dtype))
             width = w
         self.out = PointwiseConv(width, k * k, rng, bias=True, dtype=dtype)
         self.out.weight.data[:] = 0.0
@@ -216,11 +255,8 @@ class TNet:
         """Predict the transform for a (B, n, k) or (n, k) feature map."""
         single = features.ndim == 2
         x = reshape(features, (1,) + tuple(features.shape)) if single else features
-        h = x
-        for conv, bn in zip(self.convs, self.bns):
-            h = relu(bn(conv(h), training))
-        pooled = reduce_max(h, axis=-2)
-        for fc in self.fcs:
+        pooled = reduce_max(super().__call__(x, training), axis=-2)
+        for fc in self._numbered("fc"):
             pooled = relu(fc(pooled))
         flat = self.out(pooled)
         mats = reshape(flat, (flat.shape[0], self.k, self.k))
@@ -236,22 +272,6 @@ class TNet:
                 f"alignment network of width {self.k} got shape {features.shape}")
         mats = self.matrix(features, training)
         return matmul(features, mats), mats
-
-    def named_parameters(self, prefix=""):
-        items = []
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            items.extend(conv.named_parameters(f"{prefix}conv{i}/"))
-            items.extend(bn.named_parameters(f"{prefix}bn{i}/"))
-        for i, fc in enumerate(self.fcs):
-            items.extend(fc.named_parameters(f"{prefix}fc{i}/"))
-        items.extend(self.out.named_parameters(f"{prefix}out/"))
-        return items
-
-    def named_state(self, prefix=""):
-        items = []
-        for i, bn in enumerate(self.bns):
-            items.extend(bn.named_state(f"{prefix}bn{i}/"))
-        return items
 
 
 def orthogonality_regularizer(mat):

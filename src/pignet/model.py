@@ -16,8 +16,9 @@ from .errors import ConfigError, DataError, DimensionError, InputError
 from .seeding import INIT, make_rng
 from .tensor import (Tensor, concat, log_softmax, neg, no_grad, reduce_mean,
                      relu, repeat_rows, reshape, take_per_row)
-from .layers import (BatchNorm, PointwiseConv, TNet, global_average_pool,
-                     max_over_points, orthogonality_regularizer)
+from .layers import (BatchNorm, Ladder, Module, PointwiseConv, TNet,
+                     global_average_pool, max_over_points,
+                     orthogonality_regularizer)
 from .inception import InceptionStack, PlainConvStack
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -77,7 +78,8 @@ def config_hash(config):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _check_points(points, dtype):
+def _as_batch(points, dtype):
+    """Validate a cloud or batch; return (a (B, n, 3) batch, was one cloud)."""
     pts = points if isinstance(points, Tensor) else Tensor(np.asarray(points))
     if pts.dtype != dtype:
         pts = Tensor(pts.data.astype(dtype))
@@ -88,42 +90,22 @@ def _check_points(points, dtype):
         raise InputError("cloud must contain at least one point")
     if not np.isfinite(pts.data).all():
         raise InputError("point coordinates must be finite")
-    return pts
+    single = pts.ndim == 2
+    return (reshape(pts, (1,) + tuple(pts.shape)) if single else pts), single
 
 
-class _HeadMixin:
-    """Shared per-point classification head: convs with BN+ReLU, plain final."""
+class _HeadMixin(Module):
+    """Shared per-point classification head: a ladder, then a plain affine."""
 
     def _build_head(self, width, rng, dtype):
-        cfg = self.config
-        self.head_convs = []
-        self.head_bns = []
-        for w in cfg.head_widths:
-            self.head_convs.append(PointwiseConv(width, w, rng, bias=False,
-                                                 dtype=dtype))
-            self.head_bns.append(BatchNorm(w, dtype=dtype))
-            width = w
-        self.head_out = PointwiseConv(width, cfg.num_parts, rng, bias=True,
+        self.head = Ladder(width, self.config.head_widths, rng, dtype)
+        self.head.out = PointwiseConv(self.head.out_channels,
+                                      self.config.num_parts, rng, bias=True,
                                       dtype=dtype)
 
-    def _run_head(self, features, training):
-        for conv, bn in zip(self.head_convs, self.head_bns):
-            features = relu(bn(conv(features), training))
-        return self.head_out(features)
-
-    def _head_parameters(self):
-        items = []
-        for i, (conv, bn) in enumerate(zip(self.head_convs, self.head_bns)):
-            items.extend(conv.named_parameters(f"head/conv{i}/"))
-            items.extend(bn.named_parameters(f"head/bn{i}/"))
-        items.extend(self.head_out.named_parameters("head/out/"))
-        return items
-
-    def _head_state(self):
-        items = []
-        for i, bn in enumerate(self.head_bns):
-            items.extend(bn.named_state(f"head/bn{i}/"))
-        return items
+    @property
+    def head_out(self):
+        return self.head.out
 
     def predict(self, points):
         """Per-point part ids (eval mode); ties go to the lower part id."""
@@ -150,12 +132,12 @@ class PigNet(_HeadMixin):
         else:
             self.stack = PlainConvStack(config.inception_plan, rng, dtype=dtype)
         width = self.stack.out_channels
-        self.reduce_conv = None
-        self.reduce_bn = None
+        self.reduce = None
         if config.feature_reduce is not None:
-            self.reduce_conv = PointwiseConv(width, config.feature_reduce, rng,
+            self.reduce = Module()
+            self.reduce.conv = PointwiseConv(width, config.feature_reduce, rng,
                                              bias=False, dtype=dtype)
-            self.reduce_bn = BatchNorm(config.feature_reduce, dtype=dtype)
+            self.reduce.bn = BatchNorm(config.feature_reduce, dtype=dtype)
             width = config.feature_reduce
         self.feature_width = width
         self.feature_tnet = None
@@ -170,15 +152,13 @@ class PigNet(_HeadMixin):
         The matrix is None when the feature transform is disabled. Pass a
         dict as ``capture`` to receive intermediate tensors.
         """
-        pts = _check_points(points, self.dtype)
-        single = pts.ndim == 2
-        x = reshape(pts, (1,) + tuple(pts.shape)) if single else pts
+        x, single = _as_batch(points, self.dtype)
         n = x.shape[1]
 
         aligned_in, input_mat = self.input_tnet.align(x, training)
         feats = self.stack(aligned_in, training)
-        if self.reduce_conv is not None:
-            feats = relu(self.reduce_bn(self.reduce_conv(feats), training))
+        if self.reduce is not None:
+            feats = relu(self.reduce.bn(self.reduce.conv(feats), training))
         if self.feature_tnet is not None:
             local, feature_mat = self.feature_tnet.align(feats, training)
         else:
@@ -188,7 +168,7 @@ class PigNet(_HeadMixin):
         else:
             pooled = max_over_points(local)
         combined = concat([local, repeat_rows(pooled, n)], axis=-1)
-        logits = self._run_head(combined, training)
+        logits = self.head_out(self.head(combined, training))
 
         if capture is not None:
             capture.update(aligned_input=aligned_in, input_matrix=input_mat,
@@ -200,27 +180,6 @@ class PigNet(_HeadMixin):
                 k = self.feature_width
                 feature_mat = reshape(feature_mat, (k, k))
         return logits, feature_mat
-
-    def named_parameters(self):
-        items = self.input_tnet.named_parameters("input_tnet/")
-        items.extend(self.stack.named_parameters("stack/"))
-        if self.reduce_conv is not None:
-            items.extend(self.reduce_conv.named_parameters("reduce/conv/"))
-            items.extend(self.reduce_bn.named_parameters("reduce/bn/"))
-        if self.feature_tnet is not None:
-            items.extend(self.feature_tnet.named_parameters("feature_tnet/"))
-        items.extend(self._head_parameters())
-        return items
-
-    def named_state(self):
-        items = self.input_tnet.named_state("input_tnet/")
-        items.extend(self.stack.named_state("stack/"))
-        if self.reduce_bn is not None:
-            items.extend(self.reduce_bn.named_state("reduce/bn/"))
-        if self.feature_tnet is not None:
-            items.extend(self.feature_tnet.named_state("feature_tnet/"))
-        items.extend(self._head_state())
-        return items
 
 
 class PointNetBaseline(_HeadMixin):
@@ -241,33 +200,21 @@ class PointNetBaseline(_HeadMixin):
         rng = make_rng(seed, INIT)
         self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
                                config.tnet_fc_widths, dtype=dtype)
-        self.convs = []
-        self.bns = []
-        width = 3
-        for w in config.baseline_plan:
-            self.convs.append(PointwiseConv(width, w, rng, bias=False, dtype=dtype))
-            self.bns.append(BatchNorm(w, dtype=dtype))
-            width = w
-        self.local_width = config.baseline_plan[config.baseline_local_index]
-        self.global_width = config.baseline_plan[-1]
-        self._build_head(self.local_width + self.global_width, rng, dtype)
+        self.convs = Ladder(3, config.baseline_plan, rng, dtype)
+        plan = config.baseline_plan
+        self._build_head(plan[config.baseline_local_index] + plan[-1], rng,
+                         dtype)
 
     def forward(self, points, training=False, capture=None):
-        pts = _check_points(points, self.dtype)
-        single = pts.ndim == 2
-        x = reshape(pts, (1,) + tuple(pts.shape)) if single else pts
+        x, single = _as_batch(points, self.dtype)
         n = x.shape[1]
 
         aligned, input_mat = self.input_tnet.align(x, training)
-        h = aligned
-        local = None
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            h = relu(bn(conv(h), training))
-            if i == self.config.baseline_local_index:
-                local = h
-        pooled = max_over_points(h)
+        rungs = self.convs.outputs(aligned, training)
+        local = rungs[self.config.baseline_local_index]
+        pooled = max_over_points(rungs[-1])
         combined = concat([local, repeat_rows(pooled, n)], axis=-1)
-        logits = self._run_head(combined, training)
+        logits = self.head_out(self.head(combined, training))
 
         if capture is not None:
             capture.update(aligned_input=aligned, input_matrix=input_mat,
@@ -276,21 +223,6 @@ class PointNetBaseline(_HeadMixin):
         if single:
             logits = reshape(logits, (n, self.config.num_parts))
         return logits, None
-
-    def named_parameters(self):
-        items = self.input_tnet.named_parameters("input_tnet/")
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            items.extend(conv.named_parameters(f"convs/conv{i}/"))
-            items.extend(bn.named_parameters(f"convs/bn{i}/"))
-        items.extend(self._head_parameters())
-        return items
-
-    def named_state(self):
-        items = self.input_tnet.named_state("input_tnet/")
-        for i, bn in enumerate(self.bns):
-            items.extend(bn.named_state(f"convs/bn{i}/"))
-        items.extend(self._head_state())
-        return items
 
 
 def build_model(config, seed=0):

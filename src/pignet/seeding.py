@@ -14,7 +14,6 @@ SAMPLE = 2
 AUGMENT = 3
 EVAL = 4
 NOISE = 5
-SYNTH = 6
 
 
 def make_rng(*entropy):

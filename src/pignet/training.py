@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import struct
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -281,6 +280,11 @@ def load_checkpoint(path, model, optimizer=None):
     raises before anything is applied.
     """
     meta, arrays = read_checkpoint(path)
+    return _apply_checkpoint(meta, arrays, model, optimizer)
+
+
+def _apply_checkpoint(meta, arrays, model, optimizer=None):
+    """Validate a parsed checkpoint against the model, then copy it in."""
     if meta.get("config_hash") != config_hash(model.config):
         raise CompatibilityError(
             "checkpoint was written for a different configuration "
@@ -307,7 +311,7 @@ def load_checkpoint(path, model, optimizer=None):
 def model_from_checkpoint(path, seed=0):
     """Rebuild the saved configuration and load the weights into it."""
     from .model import ModelConfig
-    meta, _ = read_checkpoint(path)
+    meta, arrays = read_checkpoint(path)
     cfg_dict = meta.get("config")
     if not isinstance(cfg_dict, dict):
         raise FormatError(f"{path} metadata lacks the model configuration")
@@ -317,20 +321,5 @@ def model_from_checkpoint(path, seed=0):
         raise FormatError(
             f"{path} holds an invalid model configuration: {exc}") from exc
     model = build_model(config, seed=seed)
-    load_checkpoint(path, model)
+    _apply_checkpoint(meta, arrays, model)
     return model
-
-
-def time_epoch(model, optimizer, clouds, train_config, augment_config,
-               points, model_config):
-    """Wall-clock one training epoch over preloaded clouds (machine-specific)."""
-    clouds = [sample_points(c, points, (train_config.seed, SAMPLE, i))
-              for i, c in enumerate(clouds)]
-    start = time.perf_counter()
-    rng = make_rng(train_config.seed, SHUFFLE, 999)
-    order = rng.permutation(len(clouds))
-    for begin in range(0, len(order), train_config.batch_size):
-        _train_step(model, optimizer, clouds,
-                    order[begin:begin + train_config.batch_size], 0,
-                    train_config, augment_config, model_config.lambda_reg)
-    return time.perf_counter() - start

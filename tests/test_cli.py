@@ -145,6 +145,31 @@ class TestConfigFile:
         assert run(["inspect", "--config", config]) == 2
         assert "models" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, line", [
+        (b"seed = 1\n", 1),                       # no section header
+        (b"[train]\nseed = 1\nseed = 2\n", 3),    # duplicate key
+        (b"[train]\n[train]\n", 2),               # duplicate section
+        (b"[train]\n  = 0.1\n", 2),               # indented line, no key
+        (b"[train]\nseed = \xff\n", 2),           # not UTF-8
+    ], ids=["no-section", "duplicate-key", "duplicate-section",
+            "unparsable-line", "not-utf8"])
+    def test_malformed_ini_exits_2_and_names_line(self, tmp_path, capsys,
+                                                  content, line):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(content)
+        assert run(["inspect", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{config}:{line}:" in err
+
+    def test_percent_sign_is_literal_and_round_trips(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text("[data]\nroot = data%1\n")
+        cfg = load_run_config(config)
+        assert cfg.root == "data%1"
+        cfg.dump(tmp_path / "copy.ini")
+        assert load_run_config(tmp_path / "copy.ini").root == "data%1"
+
     def test_missing_config_file_exits_nonzero(self, tmp_path):
         assert run(["inspect", "--config", tmp_path / "absent.ini"]) == 1
 

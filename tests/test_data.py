@@ -6,8 +6,7 @@ import pytest
 from pignet.data import (AugmentConfig, LAMP_POLE_HEIGHT, LAMP_POLE_RADIUS,
                          PointCloud, add_gaussian_noise, augment, load_cloud,
                          load_split, normalize, rotate_up, sample_points,
-                         save_cloud, subsample_density, synth_generate,
-                         write_synth_dataset)
+                         save_cloud, synth_generate, write_synth_dataset)
 from pignet.errors import (DataError, DegenerateError, ParseError, UsageError)
 
 
@@ -187,14 +186,15 @@ class TestAugment:
 
 
 class TestCorruptions:
+    # the robustness grid's density corruption is sample_points at each level
     def test_subsample_density_levels(self):
         cloud = make_cloud(1024, seed=15)
         for m in (128, 256, 512, 1024):
-            assert subsample_density(cloud, m, seed=1).n == m
+            assert sample_points(cloud, m, seed=1).n == m
 
     def test_subsample_full_size_is_permutation(self):
         cloud = make_cloud(64, seed=16)
-        out = subsample_density(cloud, 64, seed=2)
+        out = sample_points(cloud, 64, seed=2)
         assert sorted(map(tuple, out.points)) == sorted(map(tuple, cloud.points))
 
     def test_noise_sigma_zero_is_identity(self):

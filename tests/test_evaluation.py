@@ -7,9 +7,8 @@ from pignet.data import write_synth_dataset, load_split
 from pignet.errors import ConfigError, DataError, UsageError
 from pignet.evaluation import (PART_PALETTE, SegmentationReport, ShapeResult,
                                ablation_run, ablation_tsv, ablation_variants,
-                               aggregate_miou, complexity_report,
-                               evaluate_split, robustness_run, robustness_tsv,
-                               shape_miou, write_ply)
+                               aggregate_miou, evaluate_split, robustness_run,
+                               robustness_tsv, shape_miou, write_ply)
 from pignet.model import ModelConfig, build_model
 from pignet.training import TrainConfig
 
@@ -269,20 +268,6 @@ class TestRobustness:
         lines = text.strip().split("\n")
         assert lines[0] == "density\\sigma\t0\t0.01"
         assert lines[1].startswith("128\t")
-
-
-class TestComplexity:
-    def test_report_fields(self, lamp_root):
-        split = load_split(lamp_root, "lamp")
-        from pignet.model import parameter_count
-        report = complexity_report(tiny_model_config(), split.train,
-                                   TrainConfig(epochs=1, seed=0, batch_size=8),
-                                   points=32)
-        assert report.param_count == parameter_count(tiny_model_config())
-        assert report.train_seconds_per_epoch > 0
-        assert report.inference_seconds_per_shape > 0
-        assert "machine-specific" in report.notes
-        assert "2.9M" in report.notes
 
 
 class TestPly:

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -331,3 +333,27 @@ def test_checkpoint_layout_and_init_golden():
         model = build_model(config, seed=0)
         got = (_layout_and_init_digest(model), _train_logits_digest(model))
         assert got == expected, config
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # bench/spans.py wraps methods found in each class's own __dict__, and
+    # bench/ reads these attributes of a built model
+    import pignet
+    from pignet.layers import TNet
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    align = TNet.__dict__["align"]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert TNet.__dict__["align"] is not align
+    finally:
+        tracer.uninstall()
+    assert TNet.__dict__["align"] is align
+    assert pignet.build_model is build_model
+    model = build_model(tiny_config(), seed=0)
+    assert model.head_out.weight.shape == (16, 3)
+    assert model.input_tnet.out.weight.shape == (16, 9)
+    assert model.input_tnet.k == 3
+    assert model.feature_tnet.k == 48

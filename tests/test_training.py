@@ -216,6 +216,21 @@ class TestCheckpoints:
         pts = np.random.default_rng(1).normal(size=(20, 3))
         assert np.array_equal(restored.predict(pts), result.model.predict(pts))
 
+    def test_model_from_checkpoint_reads_file_once(self, tmp_path,
+                                                   monkeypatch):
+        import pignet.training as training
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_model_config(), seed=0))
+        reads = []
+
+        def counting_read(p):
+            reads.append(p)
+            return read_checkpoint(p)
+
+        monkeypatch.setattr(training, "read_checkpoint", counting_read)
+        model_from_checkpoint(path)
+        assert reads == [path]
+
 
 class TestCorruptMetadata:
     @staticmethod
