@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from pignet.cli import main, load_run_config
@@ -35,6 +37,140 @@ def tiny_config_file(tmp_path):
         "[augment]\n"
         "jitter_sigma = 0.005\n")
     return path
+
+
+DEFAULT_EFFECTIVE = (
+    "", "", 1024, "runs",
+    {"arch": "pignet", "num_parts": None,
+     "inception_plan": (64, 128, 256, 512), "use_inception": True,
+     "use_gap": True, "feature_transform": True, "feature_reduce": None,
+     "head_widths": (512, 256, 128), "lambda_reg": 0.001,
+     "tnet_conv_widths": (64, 128, 1024), "tnet_fc_widths": (512, 256),
+     "baseline_plan": (64, 64, 64, 128, 1024), "baseline_local_index": 2,
+     "dtype": "float64"},
+    {"epochs": 50, "seed": 0, "batch_size": 64, "learning_rate": 0.001,
+     "beta1": 0.9, "beta2": 0.999, "epsilon_adam": 1e-08, "category": ""},
+    {"rotate_up_axis": True, "scale_range": (0.66, 1.5),
+     "translate_range": (-0.2, 0.2), "jitter_sigma": 0.01, "up_axis": 1},
+)
+
+# every one of the 30 keys away from its default, with each boolean spelling
+EVERY_KEY_INI = """\
+[data]
+root = data/shapes
+category = lamp
+points = 256
+out = results
+[model]
+arch = pointnet
+num_parts = 5
+inception_plan = 8,16,24
+use_inception = off
+use_gap = false
+feature_transform = no
+feature_reduce = 64
+head_widths = 32,16
+lambda_reg = 0.01
+tnet_conv_widths = 8,16,32
+tnet_fc_widths = 16,8
+baseline_plan = 8,8,8,16,32
+baseline_local_index = 1
+dtype = float32
+[train]
+epochs = 7
+seed = 3
+batch_size = 4
+learning_rate = 0.005
+beta1 = 0.8
+beta2 = 0.99
+epsilon_adam = 1e-6
+[augment]
+rotate_up_axis = 0
+scale_range = 0.8,1.25
+translate_range = -0.1,0.3
+jitter_sigma = 0.02
+up_axis = 2
+"""
+
+EVERY_KEY_EFFECTIVE = (
+    "data/shapes", "lamp", 256, "results",
+    {"arch": "pointnet", "num_parts": 5, "inception_plan": (8, 16, 24),
+     "use_inception": False, "use_gap": False, "feature_transform": False,
+     "feature_reduce": 64, "head_widths": (32, 16), "lambda_reg": 0.01,
+     "tnet_conv_widths": (8, 16, 32), "tnet_fc_widths": (16, 8),
+     "baseline_plan": (8, 8, 8, 16, 32), "baseline_local_index": 1,
+     "dtype": "float32"},
+    {"epochs": 7, "seed": 3, "batch_size": 4, "learning_rate": 0.005,
+     "beta1": 0.8, "beta2": 0.99, "epsilon_adam": 1e-06, "category": "lamp"},
+    {"rotate_up_axis": False, "scale_range": (0.8, 1.25),
+     "translate_range": (-0.1, 0.3), "jitter_sigma": 0.02, "up_axis": 2},
+)
+
+# the config.ini copy a default run wrote before the schema was derived from
+# the config dataclasses (an empty value is followed by one space); it must
+# keep loading to the same values
+EARLIER_DEFAULT_DUMP = """\
+[data]
+root =\x20
+category =\x20
+points = 1024
+out = runs
+
+[model]
+arch = pignet
+num_parts = auto
+inception_plan = 64,128,256,512
+use_inception = on
+use_gap = on
+feature_transform = on
+feature_reduce = none
+head_widths = 512,256,128
+lambda_reg = 0.001
+tnet_conv_widths = 64,128,1024
+tnet_fc_widths = 512,256
+baseline_plan = 64,64,64,128,1024
+baseline_local_index = 2
+dtype = float64
+
+[train]
+epochs = 50
+seed = 0
+batch_size = 64
+learning_rate = 0.001
+beta1 = 0.9
+beta2 = 0.999
+epsilon_adam = 1e-8
+
+[augment]
+rotate_up_axis = on
+scale_range = 0.66,1.5
+translate_range = -0.2,0.2
+jitter_sigma = 0.01
+up_axis = 1
+
+"""
+
+
+def effective(cfg):
+    return (cfg.root, cfg.category, cfg.points, cfg.out, cfg.model_kwargs,
+            asdict(cfg.train_config), asdict(cfg.augment_config))
+
+
+@pytest.mark.parametrize("text, expected", [
+    (None, DEFAULT_EFFECTIVE),
+    (EVERY_KEY_INI, EVERY_KEY_EFFECTIVE),
+    ("[model]\nfeature_reduce =\n", DEFAULT_EFFECTIVE),
+    (EARLIER_DEFAULT_DUMP, DEFAULT_EFFECTIVE),
+], ids=["defaults", "every-key", "empty-feature-reduce", "earlier-dump"])
+def test_effective_config_golden(tmp_path, text, expected):
+    path = None
+    if text is not None:
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+    cfg = load_run_config(path)
+    assert effective(cfg) == expected
+    cfg.dump(tmp_path / "copy.ini")
+    assert effective(load_run_config(tmp_path / "copy.ini")) == expected
 
 
 class TestSynth:
@@ -185,7 +321,32 @@ class TestConfigFile:
         config.write_text("[data]\npoints = many\n")
         with pytest.raises(ConfigError) as err:
             load_run_config(config)
-        assert "points" in str(err.value)
+        assert str(err.value) == (
+            "[data] points: expected an integer, got 'many'")
+
+    @pytest.mark.parametrize("section, key, raw, message", [
+        ("data", "points", "0", "[data] points must be >= 1"),
+        ("model", "num_parts", "some",
+         "[model] num_parts: expected an integer, got 'some'"),
+        ("model", "use_gap", "maybe",
+         "[model] use_gap: expected on/off, got 'maybe'"),
+        ("model", "inception_plan", "8,x",
+         "[model] inception_plan: expected comma-separated integers, "
+         "got '8,x'"),
+        ("train", "learning_rate", "fast",
+         "[train] learning_rate: expected a number, got 'fast'"),
+        ("augment", "scale_range", "1,b",
+         "[augment] scale_range: expected comma-separated numbers, "
+         "got '1,b'"),
+    ], ids=["points-zero", "num-parts-word", "bool-word",
+            "ints-item", "float-word", "floats-item"])
+    def test_malformed_value_message(self, tmp_path, section, key, raw,
+                                     message):
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            load_run_config(config)
+        assert str(err.value) == message
 
     def test_config_copy_reproduces_run(self, tmp_path):
         root = synth(tmp_path, count=2)
