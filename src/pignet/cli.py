@@ -9,9 +9,15 @@ the effective configuration, so a run is reproducible from that copy alone.
 
 import argparse
 import configparser
+import math
+import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
+
+import numpy as np
 
 from .errors import ConfigError, PignetError
 from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_cloud,
@@ -19,89 +25,78 @@ from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_cloud,
 from .model import ModelConfig, parameter_count
 from .training import (TrainConfig, model_from_checkpoint, save_checkpoint,
                        train_category)
-from .evaluation import (ablation_run, ablation_tsv, evaluate_split,
-                         robustness_run, robustness_tsv, write_ply)
+from .evaluation import (ablation_run, ablation_tsv, ablation_variants,
+                         evaluate_split, robustness_run, robustness_tsv,
+                         write_ply)
 from .seeding import EVAL
 
-_DEFAULTS = {
-    "data": {
-        "root": "",
-        "category": "",
-        "points": "1024",
-        "out": "runs",
-    },
-    "model": {
-        "arch": "pignet",
-        "num_parts": "auto",
-        "inception_plan": "64,128,256,512",
-        "use_inception": "on",
-        "use_gap": "on",
-        "feature_transform": "on",
-        "feature_reduce": "none",
-        "head_widths": "512,256,128",
-        "lambda_reg": "0.001",
-        "tnet_conv_widths": "64,128,1024",
-        "tnet_fc_widths": "512,256",
-        "baseline_plan": "64,64,64,128,1024",
-        "baseline_local_index": "2",
-        "dtype": "float64",
-    },
-    "train": {
-        "epochs": "50",
-        "seed": "0",
-        "batch_size": "64",
-        "learning_rate": "0.001",
-        "beta1": "0.9",
-        "beta2": "0.999",
-        "epsilon_adam": "1e-8",
-    },
-    "augment": {
-        "rotate_up_axis": "on",
-        "scale_range": "0.66,1.5",
-        "translate_range": "-0.2,0.2",
-        "jitter_sigma": "0.01",
-        "up_axis": "1",
-    },
+# the defaults the config dataclasses lack; num_parts 'auto' is inferred from
+# the dataset
+_CLI_DEFAULTS = {
+    "data": {"root": "", "category": "", "points": 1024, "out": "runs"},
+    "model": {"num_parts": "auto"},
+    "train": {"epochs": 50},
 }
+_BOOLS = {**dict.fromkeys(("on", "true", "1", "yes"), True),
+          **dict.fromkeys(("off", "false", "0", "no"), False)}
+_EXPECTED = {bool: ("on/off", None), int: ("an integer", "integers"),
+             float: ("a number", "numbers")}
 
 
-def _parse_bool(section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected on/off, got {raw!r}")
+def _ini_text(value):
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
 
 
-def _parse_int(section, key, raw):
+def _schema():
+    """{section: {key: (default INI text, kind)}} for all 30 keys. A [data]
+    key's kind is its default's type; every other key is a field of its
+    section's dataclass, whose type gives the kind (``int | None`` reads as
+    int, a tuple as ``(type of its default's items,)``)."""
+    schema = {"data": {key: (str(value), type(value))
+                       for key, value in _CLI_DEFAULTS["data"].items()}}
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig),
+                         ("augment", AugmentConfig)):
+        missing = _CLI_DEFAULTS.get(section, {})
+        schema[section] = {}
+        for f in fields(cls):
+            if f.name == "category":  # TrainConfig.category comes from [data]
+                continue
+            default = missing.get(f.name, f.default)
+            kind = (get_args(f.type) or (f.type,))[0]
+            if kind is tuple:
+                kind = (type(default[0]),)
+            schema[section][f.name] = (_ini_text(default), kind)
+    return schema
+
+
+_SCHEMA = _schema()
+
+
+def _parse(section, key, raw):
+    """``raw`` read as its key's kind. A key whose default is 'none' or
+    'auto' reads that word, or an empty value, as None. A malformed or
+    non-finite value raises ConfigError naming the key."""
+    default, kind = _SCHEMA[section][key]
+    if default in ("none", "auto") and raw.strip().lower() in (default, ""):
+        return None
+    many = isinstance(kind, tuple)
+    item = kind[0] if many else kind
+    texts = [v for v in raw.split(",") if v.strip()] if many else [raw]
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-
-
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
-
-
-def _parse_ints(section, key, raw):
-    try:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    except ValueError:
+        values = tuple(_BOOLS[v.strip().lower()] if item is bool else item(v)
+                       for v in texts)
+    except (KeyError, ValueError):
+        one, several = _EXPECTED[item]
+        expected = f"comma-separated {several}" if many else one
         raise ConfigError(
-            f"[{section}] {key}: expected comma-separated integers, got {raw!r}")
-
-
-def _parse_floats(section, key, raw):
-    try:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected comma-separated numbers, got {raw!r}")
+            f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+    if item is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return values if many else values[0]
 
 
 class RunConfig:
@@ -109,80 +104,24 @@ class RunConfig:
 
     def __init__(self, values):
         self.values = values
-        d, m, t, a = (values["data"], values["model"], values["train"],
-                      values["augment"])
-        self.root = d["root"]
-        self.category = d["category"]
-        self.points = _parse_int("data", "points", d["points"])
+        parsed = {section: {key: _parse(section, key, raw)
+                            for key, raw in keys.items()}
+                  for section, keys in values.items()}
+        vars(self).update(parsed["data"])  # root, category, points, out
         if self.points < 1:
             raise ConfigError("[data] points must be >= 1")
-        self.out = d["out"]
+        self.model_kwargs = parsed["model"]
+        self.train_config = TrainConfig(**parsed["train"],
+                                        category=self.category)
+        self.augment_config = AugmentConfig(**parsed["augment"])
 
-        reduce_raw = m["feature_reduce"].strip().lower()
-        parts_raw = m["num_parts"].strip().lower()
-        self.model_kwargs = dict(
-            arch=m["arch"],
-            num_parts=None if parts_raw == "auto"
-            else _parse_int("model", "num_parts", m["num_parts"]),
-            inception_plan=_parse_ints("model", "inception_plan",
-                                       m["inception_plan"]),
-            use_inception=_parse_bool("model", "use_inception",
-                                      m["use_inception"]),
-            use_gap=_parse_bool("model", "use_gap", m["use_gap"]),
-            feature_transform=_parse_bool("model", "feature_transform",
-                                          m["feature_transform"]),
-            feature_reduce=None if reduce_raw in ("none", "")
-            else _parse_int("model", "feature_reduce", m["feature_reduce"]),
-            head_widths=_parse_ints("model", "head_widths", m["head_widths"]),
-            lambda_reg=_parse_float("model", "lambda_reg", m["lambda_reg"]),
-            tnet_conv_widths=_parse_ints("model", "tnet_conv_widths",
-                                         m["tnet_conv_widths"]),
-            tnet_fc_widths=_parse_ints("model", "tnet_fc_widths",
-                                       m["tnet_fc_widths"]),
-            baseline_plan=_parse_ints("model", "baseline_plan",
-                                      m["baseline_plan"]),
-            baseline_local_index=_parse_int("model", "baseline_local_index",
-                                            m["baseline_local_index"]),
-            dtype=m["dtype"],
-        )
-        self.train_config = TrainConfig(
-            epochs=_parse_int("train", "epochs", t["epochs"]),
-            seed=_parse_int("train", "seed", t["seed"]),
-            batch_size=_parse_int("train", "batch_size", t["batch_size"]),
-            learning_rate=_parse_float("train", "learning_rate",
-                                       t["learning_rate"]),
-            beta1=_parse_float("train", "beta1", t["beta1"]),
-            beta2=_parse_float("train", "beta2", t["beta2"]),
-            epsilon_adam=_parse_float("train", "epsilon_adam",
-                                      t["epsilon_adam"]),
-            category=self.category,
-        )
-        self.augment_config = AugmentConfig(
-            rotate_up_axis=_parse_bool("augment", "rotate_up_axis",
-                                       a["rotate_up_axis"]),
-            scale_range=_parse_floats("augment", "scale_range",
-                                      a["scale_range"]),
-            translate_range=_parse_floats("augment", "translate_range",
-                                          a["translate_range"]),
-            jitter_sigma=_parse_float("augment", "jitter_sigma",
-                                      a["jitter_sigma"]),
-            up_axis=_parse_int("augment", "up_axis", a["up_axis"]),
-        )
-
-    def model_config(self, num_parts=None):
-        kwargs = dict(self.model_kwargs)
-        if num_parts is not None:
-            kwargs["num_parts"] = num_parts
-        if kwargs["num_parts"] is None:
-            raise ConfigError(
-                "[model] num_parts is 'auto' but no dataset is available "
-                "to infer it from")
-        return ModelConfig(**kwargs)
+    def model_config(self, num_parts):
+        """The model configuration, with num_parts resolved by the caller."""
+        return ModelConfig(**{**self.model_kwargs, "num_parts": num_parts})
 
     def dump(self, path):
         parser = configparser.ConfigParser(interpolation=None)
-        for section, keys in self.values.items():
-            parser[section] = {k: str(v) for k, v in keys.items()}
+        parser.read_dict(self.values)
         with open(path, "w") as fh:
             parser.write(fh)
 
@@ -214,7 +153,8 @@ def _read_ini(path):
 def load_run_config(config_path=None, overrides=()):
     """Merge defaults, an optional INI file, and CLI overrides; reject
     unknown sections or keys."""
-    values = {section: dict(keys) for section, keys in _DEFAULTS.items()}
+    values = {section: {key: text for key, (text, _) in keys.items()}
+              for section, keys in _SCHEMA.items()}
     if config_path is not None:
         parser = _read_ini(config_path)
         for section in parser.sections():
@@ -225,9 +165,8 @@ def load_run_config(config_path=None, overrides=()):
                     raise ConfigError(f"unknown config key [{section}] {key}")
                 values[section][key] = raw
     for section, key, raw in overrides:
-        if raw is None:
-            continue
-        values[section][key] = str(raw)
+        if raw is not None:
+            values[section][key] = str(raw)
     return RunConfig(values)
 
 
@@ -258,22 +197,29 @@ def _logger(run_dir):
     return log
 
 
+# the flags of every command that reads a config: (flag, section, key,
+# argparse options); each overrides its INI key
+_FLAGS = [
+    ("--data-root", "data", "root", dict(type=str)),
+    ("--category", "data", "category", dict(type=str)),
+    ("--seed", "train", "seed", dict(type=int)),
+    ("--epochs", "train", "epochs", dict(type=int)),
+    ("--points", "data", "points",
+     dict(type=int, help="points sampled per shape (default 1024)")),
+    ("--out", "data", "out", dict(type=str)),
+    ("--batch-size", "train", "batch_size", dict(type=int)),
+    ("--learning-rate", "train", "learning_rate", dict(type=float)),
+    ("--arch", "model", "arch", dict(choices=["pignet", "pointnet"])),
+    ("--num-parts", "model", "num_parts", dict(type=int)),
+    ("--plan", "model", "inception_plan",
+     dict(type=str, help="comma-separated inception filter plan")),
+    ("--dtype", "model", "dtype", dict(choices=["float64", "float32"])),
+]
+
+
 def _common_overrides(args):
-    pairs = [
-        ("data", "root", getattr(args, "data_root", None)),
-        ("data", "category", getattr(args, "category", None)),
-        ("data", "points", getattr(args, "points", None)),
-        ("data", "out", getattr(args, "out", None)),
-        ("train", "seed", getattr(args, "seed", None)),
-        ("train", "epochs", getattr(args, "epochs", None)),
-        ("train", "batch_size", getattr(args, "batch_size", None)),
-        ("train", "learning_rate", getattr(args, "learning_rate", None)),
-        ("model", "arch", getattr(args, "arch", None)),
-        ("model", "num_parts", getattr(args, "num_parts", None)),
-        ("model", "inception_plan", getattr(args, "plan", None)),
-        ("model", "dtype", getattr(args, "dtype", None)),
-    ]
-    return [(s, k, v) for s, k, v in pairs if v is not None]
+    return [(section, key, getattr(args, flag[2:].replace("-", "_")))
+            for flag, section, key, _ in _FLAGS]
 
 
 def _require(value, what):
@@ -301,10 +247,24 @@ def _resolve_parts(cfg, split):
     return configured
 
 
+def _preflight(config):
+    """Refuse a model whose weights, gradients and two Adam moments would not
+    fit in physical memory; the count is closed form, nothing is built."""
+    count = parameter_count(config)
+    need = 4 * count * np.dtype(config.dtype).itemsize
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(
+            f"{count} parameters need {need / 2**30:.1f} GiB for weights, "
+            f"gradients and Adam moments, more than the {memory / 2**30:.1f} "
+            "GiB of memory here; set [model] feature_reduce, e.g. to 64")
+
+
 def cmd_train(args):
     cfg, split = _config_and_split(args)
     num_parts = _resolve_parts(cfg, split)
     model_config = cfg.model_config(num_parts)
+    _preflight(model_config)
     run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)
     log(f"training {model_config.arch} on {cfg.category!r} "
@@ -367,11 +327,13 @@ def cmd_predict(args):
 
 def cmd_ablate(args):
     cfg, split = _config_and_split(args)
-    num_parts = _resolve_parts(cfg, split)
+    model_config = cfg.model_config(_resolve_parts(cfg, split))
+    _preflight(max((config for _, config in ablation_variants(model_config)),
+                   key=parameter_count))
     eval_records = split.records(args.split) or split.train
     run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)
-    rows = ablation_run(split.train, eval_records, cfg.model_config(num_parts),
+    rows = ablation_run(split.train, eval_records, model_config,
                         cfg.train_config, cfg.augment_config, cfg.points,
                         log=lambda row: log(
                             f"{row.name}: instance mIoU {row.instance_miou:.4f}"))
@@ -398,6 +360,12 @@ def cmd_robustness(args):
 
 
 def cmd_synth(args):
+    lowest = {"count": 1, "val_count": 0, "test_count": 0, "cloud_points": 1,
+              "seed": 0}
+    for name, low in lowest.items():
+        if getattr(args, name) < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, "
+                              f"got {getattr(args, name)}")
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
     for shape in shapes:
         if shape not in SYNTH_PARTS:
@@ -409,11 +377,8 @@ def cmd_synth(args):
                                args.test_count)
     # record the generation parameters so the dataset is reproducible
     manifest = configparser.ConfigParser()
-    manifest["synth"] = {
-        "shapes": ",".join(shapes), "count": str(args.count),
-        "val_count": str(args.val_count), "test_count": str(args.test_count),
-        "cloud_points": str(args.cloud_points), "seed": str(args.seed),
-    }
+    manifest["synth"] = {"shapes": ",".join(shapes),
+                         **{name: str(getattr(args, name)) for name in lowest}}
     with open(Path(root) / "synth.ini", "w") as fh:
         manifest.write(fh)
     print(f"synthetic dataset written to {root} "
@@ -423,11 +388,11 @@ def cmd_synth(args):
 
 def cmd_inspect(args):
     cfg = load_run_config(args.config, _common_overrides(args))
-    assumed = cfg.model_kwargs["num_parts"] is None
-    model_config = cfg.model_config(num_parts=4 if assumed else None)
+    num_parts = cfg.model_kwargs["num_parts"]
+    model_config = cfg.model_config(4 if num_parts is None else num_parts)
     total = parameter_count(model_config)
     print(f"arch: {model_config.arch}")
-    if assumed:
+    if num_parts is None:
         print("num_parts: 4 (assumed; pass --num-parts for an exact count)")
     print(f"inception plan: {model_config.inception_plan} "
           f"(inception {'on' if model_config.use_inception else 'off'})")
@@ -450,20 +415,8 @@ def build_parser():
     def common(p):
         p.add_argument("--config", type=str, default=None,
                        help="INI config file; flags override it")
-        p.add_argument("--data-root", type=str, default=None)
-        p.add_argument("--category", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--points", type=int, default=None,
-                       help="points sampled per shape (default 1024)")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
-        p.add_argument("--arch", choices=["pignet", "pointnet"], default=None)
-        p.add_argument("--num-parts", type=int, default=None)
-        p.add_argument("--plan", type=str, default=None,
-                       help="comma-separated inception filter plan")
-        p.add_argument("--dtype", choices=["float64", "float32"], default=None)
+        for flag, _, _, options in _FLAGS:
+            p.add_argument(flag, default=None, **options)
 
     p = sub.add_parser("train", help="train one per-category model")
     common(p)

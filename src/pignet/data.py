@@ -166,6 +166,11 @@ class AugmentConfig:
     def __post_init__(self):
         self.scale_range = tuple(self.scale_range)
         self.translate_range = tuple(self.translate_range)
+        for name in ("scale_range", "translate_range"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or bounds[0] > bounds[1]:
+                raise ConfigError(
+                    f"{name} must be two values low <= high, got {bounds}")
         if self.scale_range[0] <= 0:
             raise ConfigError(
                 f"scale range must stay positive, got {self.scale_range}")

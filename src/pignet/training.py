@@ -8,6 +8,7 @@ u32 rank, u64 extents, and the values as little-endian float64.
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (CompatibilityError, ConfigError, DataError,
-                     DimensionError, FormatError)
+                     DimensionError, DomainError, FormatError)
 from .seeding import AUGMENT, SAMPLE, SHUFFLE, make_rng
 from .tensor import Tensor, backward
 from .model import build_model, config_hash, segmentation_loss
@@ -43,6 +44,8 @@ class TrainConfig:
                 f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("Adam betas must lie in [0, 1)")
 
@@ -107,10 +110,11 @@ def _load_training_clouds(records, num_parts):
     return clouds
 
 
-def _train_step(model, optimizer, clouds, batch_idx, epoch, train_config,
-                augment_config, lambda_reg):
+def _train_step(model, optimizer, clouds, batch_idx, epoch, batch_number,
+                train_config, augment_config, lambda_reg):
     """Augment ``clouds[batch_idx]`` (seeded by epoch and shape index), then
-    run one forward/backward/Adam step; returns the batch loss."""
+    run one forward/backward/Adam step; returns the batch loss. A non-finite
+    loss raises DomainError before Adam touches the parameters."""
     batch_pts = []
     batch_labels = []
     for idx in batch_idx:
@@ -127,8 +131,16 @@ def _train_step(model, optimizer, clouds, batch_idx, epoch, train_config,
                              lambda_reg)
     optimizer.zero_grad()
     backward(loss)
+    value = loss.item()
+    if not math.isfinite(value):
+        bad = next((name for name, p in optimizer.named_params
+                    if p.grad is not None and not np.isfinite(p.grad).all()),
+                   "none")
+        raise DomainError(
+            f"loss is {value} at epoch {epoch}, batch {batch_number}; first "
+            f"parameter with a non-finite gradient: {bad}")
     optimizer.step()
-    return loss.item()
+    return value
 
 
 @dataclass
@@ -163,10 +175,11 @@ def train_category(records, model_config, train_config, augment_config=None,
     for epoch in range(train_config.epochs):
         order = shuffle_rng.permutation(len(clouds))
         epoch_loss = 0.0
-        for start in range(0, len(order), train_config.batch_size):
+        for batch_number, start in enumerate(
+                range(0, len(order), train_config.batch_size)):
             batch_idx = order[start:start + train_config.batch_size]
             loss = _train_step(model, optimizer, clouds, batch_idx, epoch,
-                               train_config, augment_config,
+                               batch_number, train_config, augment_config,
                                model_config.lambda_reg)
             epoch_loss += loss * len(batch_idx)
         entry = {"epoch": epoch, "train_loss": epoch_loss / len(clouds)}

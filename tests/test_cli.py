@@ -1,9 +1,13 @@
+import configparser
 from dataclasses import asdict
 
 import pytest
 
+import pignet.cli
+import pignet.evaluation
 from pignet.cli import main, load_run_config
 from pignet.errors import ConfigError
+from pignet.model import parameter_count
 
 
 def run(args):
@@ -171,6 +175,104 @@ def test_effective_config_golden(tmp_path, text, expected):
     assert effective(cfg) == expected
     cfg.dump(tmp_path / "copy.ini")
     assert effective(load_run_config(tmp_path / "copy.ini")) == expected
+
+
+@pytest.fixture(scope="module")
+def lamp_root(tmp_path_factory):
+    return synth(tmp_path_factory.mktemp("lamp"), count=2)
+
+
+def tiny_train_args(tmp_path, root, extra_ini=""):
+    """A one-epoch tiny training run over ``root``, with the keys of
+    ``extra_ini`` set in the tiny config."""
+    config = tiny_config_file(tmp_path)
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    parser.read_string(extra_ini)
+    with open(config, "w") as fh:
+        parser.write(fh)
+    return ["train", "--config", config, "--data-root", root, "--category",
+            "lamp", "--epochs", "1", "--out", tmp_path / "runs",
+            *TINY_MODEL_FLAGS]
+
+
+@pytest.mark.parametrize("argv, extra_ini, message", [
+    (["train", "--seed", "-1"], "", "seed must be >= 0, got -1"),
+    (["train"], "[augment]\nscale_range = 1.2\n",
+     "scale_range must be two values low <= high, got (1.2,)"),
+    (["train"], "[augment]\nscale_range =\n",
+     "scale_range must be two values low <= high, got ()"),
+    (["train"], "[augment]\ntranslate_range = 0.2,-0.2\n",
+     "translate_range must be two values low <= high, got (0.2, -0.2)"),
+    (["train"], "[train]\nlearning_rate = nan\n",
+     "[train] learning_rate: must be finite, got 'nan'"),
+    (["train", "--learning-rate", "inf"], "",
+     "[train] learning_rate: must be finite, got 'inf'"),
+    (["train"], "[model]\nlambda_reg = inf\n",
+     "[model] lambda_reg: must be finite, got 'inf'"),
+    (["train"], "[augment]\njitter_sigma = nan\n",
+     "[augment] jitter_sigma: must be finite, got 'nan'"),
+    (["train"], "[augment]\nscale_range = 0.5,1e999\n",
+     "[augment] scale_range: must be finite, got '0.5,1e999'"),
+    (["synth", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+    (["synth", "--count", "0"], None, "--count must be >= 1, got 0"),
+    (["synth", "--cloud-points", "0"], None,
+     "--cloud-points must be >= 1, got 0"),
+    (["synth", "--val-count", "-1"], None, "--val-count must be >= 0, got -1"),
+    (["synth", "--test-count", "-1"], None,
+     "--test-count must be >= 0, got -1"),
+], ids=["seed", "one-scale", "no-scale", "translate-order", "nan-rate",
+        "inf-rate-flag", "inf-lambda", "nan-jitter", "inf-scale",
+        "synth-seed", "synth-count", "synth-points", "synth-val",
+        "synth-test"])
+def test_bad_value_exits_2_before_any_output(tmp_path, capsys, lamp_root,
+                                             argv, extra_ini, message):
+    command, *flags = argv
+    if command == "train":
+        args = tiny_train_args(tmp_path, lamp_root, extra_ini) + flags
+        out = tmp_path / "runs"
+    else:
+        out = tmp_path / "data"
+        args = ["synth", "--shapes", "lamp", "--out", out] + flags
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_oversized_model_refused_before_building(tmp_path, capsys, lamp_root,
+                                                 monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train_category was called")
+
+    monkeypatch.setattr(pignet.cli, "train_category", refuse)
+    monkeypatch.setattr(pignet.evaluation, "train_category", refuse)
+    args = tiny_train_args(tmp_path, lamp_root,
+                           "[model]\nhead_widths = 100000000,1000\n")
+    args[0] = command
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "[model] feature_reduce" in err
+    if command == "train":
+        cfg = load_run_config(args[2], [("model", "inception_plan", "4,8")])
+        count = parameter_count(cfg.model_config(3))
+        assert 4 * count * 8 > 2 ** 40  # a terabyte and more
+        assert f"{count} parameters" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+def test_non_finite_loss_exits_1_without_checkpoint(tmp_path, capsys,
+                                                    lamp_root):
+    # the first step moves every weight by about 1e300; the second overflows
+    args = tiny_train_args(tmp_path, lamp_root) + [
+        "--learning-rate", "1e300", "--dtype", "float64", "--epochs", "2"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss is nan at epoch 1, batch 0; ")
+    (run_dir,) = find_run_dirs(tmp_path / "runs")
+    assert not (run_dir / "checkpoint.ckpt").exists()
 
 
 class TestSynth:

@@ -6,7 +6,7 @@ import pytest
 
 from pignet.data import AugmentConfig, write_synth_dataset, load_split
 from pignet.errors import (CompatibilityError, ConfigError, DataError,
-                           DimensionError, FormatError)
+                           DimensionError, DomainError, FormatError)
 from pignet.model import ModelConfig, build_model
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor
@@ -131,6 +131,26 @@ class TestTrainCategory:
         losses = [h["train_loss"] for h in result.history]
         for end in range(60, 80):
             assert losses[end] <= losses[end - 20] + 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+    def test_non_finite_loss_stops_before_the_adam_step(self, lamp_split,
+                                                         monkeypatch):
+        # the first step moves every weight by about 1e300, so the second
+        # batch's forward pass overflows
+        config = tiny_model_config()
+        train_cfg = TrainConfig(epochs=2, seed=1, batch_size=2,
+                                learning_rate=1e300)
+        steps = []
+        real_step = AdamOptimizer.step
+        monkeypatch.setattr(AdamOptimizer, "step",
+                            lambda opt: steps.append(1) or real_step(opt))
+        with pytest.raises(DomainError) as err:
+            train_category(lamp_split.train, config, train_cfg,
+                           quiet_augment(), points=32)
+        assert str(err.value).startswith("loss is nan at epoch 0, batch 1; ")
+        assert str(err.value).endswith(
+            "first parameter with a non-finite gradient: input_tnet/conv0/weight")
+        assert len(steps) == 1
 
     def test_validation_hook_recorded(self, lamp_split):
         config = tiny_model_config()
