@@ -255,6 +255,27 @@ class TestRobustness:
         plain = evaluate_split(model, split.train, seed=9, points=32)
         assert grids["pignet"][(32, 0.0)] == plain.instance_miou
 
+    def test_grid_golden(self, lamp_root):
+        # exact cell values of both models, recorded from the per-cell
+        # evaluation that parsed every shape again for each cell
+        split = load_split(lamp_root, "lamp")
+        model = build_model(tiny_model_config(), seed=5)
+        baseline = build_model(
+            tiny_model_config(arch="pointnet", baseline_plan=(4, 4, 4, 8, 16)),
+            seed=5)
+        grids = robustness_run(model, baseline, split.train, seed=9,
+                               densities=(16, 32), sigmas=(0.0, 0.01))
+        assert grids == {
+            "pignet": {(16, 0.0): 0.12638888888888888,
+                       (16, 0.01): 0.12638888888888888,
+                       (32, 0.0): 0.1301900210502361,
+                       (32, 0.01): 0.1324793983396134},
+            "pointnet": {(16, 0.0): 0.11458333333333334,
+                         (16, 0.01): 0.11458333333333334,
+                         (32, 0.0): 0.13020833333333334,
+                         (32, 0.01): 0.13020833333333334},
+        }
+
     def test_density_cell_uses_reduced_clouds(self, lamp_root):
         split = load_split(lamp_root, "lamp")
         model = build_model(tiny_model_config(), seed=6)
