@@ -20,15 +20,14 @@ from typing import get_args
 import numpy as np
 
 from .errors import ConfigError, PignetError
-from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_cloud,
-                   load_split, normalize, sample_points, write_synth_dataset)
+from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_split,
+                   write_synth_dataset)
 from .model import ModelConfig, parameter_count
 from .training import (TrainConfig, model_from_checkpoint, save_checkpoint,
                        train_category)
 from .evaluation import (ablation_run, ablation_tsv, ablation_variants,
-                         evaluate_split, robustness_run, robustness_tsv,
-                         write_ply)
-from .seeding import EVAL
+                         evaluate_split, labeled_cloud, predict_sample,
+                         robustness_run, robustness_tsv, write_ply)
 
 # the defaults the config dataclasses lack; num_parts 'auto' is inferred from
 # the dataset
@@ -315,11 +314,8 @@ def cmd_predict(args):
     ply_dir = run_dir / "ply"
     ply_dir.mkdir()
     for i, rec in enumerate(records):
-        cloud = normalize(load_cloud(rec.points_path, rec.labels_path,
-                                     rec.category))
-        sampled = sample_points(cloud, cfg.points,
-                                (cfg.train_config.seed, EVAL, i))
-        pred = model.predict(sampled.points)
+        sampled, pred = predict_sample(model, labeled_cloud(rec),
+                                       cfg.train_config.seed, i, cfg.points)
         write_ply(ply_dir / f"{rec.shape_id}.ply", sampled.points, pred)
     print(f"{len(records)} colored predictions written to {ply_dir}")
     return 0
@@ -367,6 +363,8 @@ def cmd_synth(args):
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, "
                               f"got {getattr(args, name)}")
     shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
+    if not shapes:
+        raise ConfigError(f"--shapes names no shape, got {args.shapes!r}")
     for shape in shapes:
         if shape not in SYNTH_PARTS:
             raise ConfigError(

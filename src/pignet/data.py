@@ -171,12 +171,14 @@ class AugmentConfig:
             if len(bounds) != 2 or bounds[0] > bounds[1]:
                 raise ConfigError(
                     f"{name} must be two values low <= high, got {bounds}")
+            if not all(map(math.isfinite, bounds)):
+                raise ConfigError(f"{name} must be finite, got {bounds}")
         if self.scale_range[0] <= 0:
             raise ConfigError(
                 f"scale range must stay positive, got {self.scale_range}")
-        if self.jitter_sigma < 0:
+        if not 0 <= self.jitter_sigma < math.inf:
             raise ConfigError(
-                f"jitter sigma must be >= 0, got {self.jitter_sigma}")
+                f"jitter sigma must be finite and >= 0, got {self.jitter_sigma}")
         if self.up_axis not in (0, 1, 2):
             raise ConfigError(f"up_axis must be 0, 1 or 2, got {self.up_axis}")
 

@@ -6,8 +6,6 @@ averages the per-category means of those scores. A part absent from both
 prediction and ground truth contributes an IoU of 1.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,45 +91,48 @@ class SegmentationReport:
                 f"category mIoU\t{self.category_miou:.6f}\n")
 
 
-def _worker_count():
-    return max(1, int(os.environ.get("PIGNET_THREADS", "1")))
-
-
-def _eval_one(model, rec, seed, index, points, sigma=0.0):
+def labeled_cloud(rec):
+    """Parse and normalize one shape record, which must carry labels."""
     cloud = normalize(load_cloud(rec.points_path, rec.labels_path, rec.category))
     if cloud.labels is None:
         raise DataError(f"{rec.points_path} has no labels to evaluate against")
+    return cloud
+
+
+def predict_sample(model, cloud, seed, index, points, sigma=0.0):
+    """The evaluation sample of shape ``index`` of a labeled cloud, with
+    Gaussian noise of std ``sigma`` when it is positive, and the model's part
+    ids for it."""
     num_parts = model.config.num_parts
     if cloud.labels.max() >= num_parts:
         raise ConfigError(
-            f"category {rec.category!r} uses label {int(cloud.labels.max())} "
+            f"category {cloud.category!r} uses label {int(cloud.labels.max())} "
             f"but the model has {num_parts} parts")
     sampled = sample_points(cloud, points, (seed, EVAL, index))
     if sigma > 0:
         sampled = add_gaussian_noise(sampled, sigma, (seed, NOISE, index))
-    pred = model.predict(sampled.points)
-    return ShapeResult(rec.shape_id, rec.category,
-                       shape_miou(pred, sampled.labels, num_parts))
+    return sampled, model.predict(sampled.points)
+
+
+def _score(model, records, clouds, seed, points, sigma=0.0):
+    shapes = []
+    for i, (rec, cloud) in enumerate(zip(records, clouds)):
+        sampled, pred = predict_sample(model, cloud, seed, i, points, sigma)
+        shapes.append(ShapeResult(rec.shape_id, rec.category, shape_miou(
+            pred, sampled.labels, model.config.num_parts)))
+    return SegmentationReport.from_shapes(shapes)
 
 
 def evaluate_split(model, records, seed, points=1024):
     """Eval-mode inference and mIoU over a list of shape records.
 
-    Deterministic under a fixed seed; per-shape work may run on
-    PIGNET_THREADS threads, merged back in record order.
+    Deterministic under a fixed seed: shape ``i`` draws its sample from
+    ``(seed, EVAL, i)``.
     """
     if not records:
         raise UsageError("no shapes to evaluate")
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shapes = list(pool.map(
-                lambda pair: _eval_one(model, pair[1], seed, pair[0], points),
-                enumerate(records)))
-    else:
-        shapes = [_eval_one(model, rec, seed, i, points)
-                  for i, rec in enumerate(records)]
-    return SegmentationReport.from_shapes(shapes)
+    return _score(model, records, [labeled_cloud(r) for r in records], seed,
+                  points)
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +206,24 @@ def ablation_tsv(rows):
 # robustness harness
 # ---------------------------------------------------------------------------
 
-def _eval_corrupted(model, records, seed, density, sigma):
-    shapes = [_eval_one(model, rec, seed, i, density, sigma)
-              for i, rec in enumerate(records)]
-    return SegmentationReport.from_shapes(shapes).instance_miou
-
-
 def robustness_run(model, baseline, records, seed,
                    densities=DENSITY_LEVELS, sigmas=NOISE_LEVELS):
     """Instance mIoU over the density-by-noise grid for both models.
 
-    The (max density, sigma 0) cell follows the exact code path of
-    evaluate_split at that point count, so it reproduces the plain
-    evaluation bit for bit under the same seed.
+    Each record is parsed once, and every cell is scored from those clouds
+    by evaluate_split's code, so the (max density, sigma 0) cell reproduces
+    the plain evaluation at that point count bit for bit under the same seed.
     """
+    clouds = [labeled_cloud(r) for r in records]
     grids = {}
     models = {"pignet": model}
     if baseline is not None:
         models["pointnet"] = baseline
     for name, m in models.items():
-        grid = {}
-        for density in densities:
-            for sigma in sigmas:
-                grid[(density, sigma)] = _eval_corrupted(m, records, seed,
-                                                         density, sigma)
-        grids[name] = grid
+        grids[name] = {
+            (density, sigma): _score(m, records, clouds, seed, density,
+                                     sigma).instance_miou
+            for density in densities for sigma in sigmas}
     return grids
 
 

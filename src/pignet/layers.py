@@ -194,28 +194,28 @@ def global_average_pool(features):
     return reduce_mean(features, axis=-2)
 
 
-def channel_window_max(features, window=3):
-    """Sliding maximum along the channel axis, stride 1, edge-replicated.
+def channel_window_max(features):
+    """Maximum over each channel and its two neighbours, stride 1,
+    edge-replicated.
 
     The output has the same width as the input, and each point row is pooled
     independently, so the op is point-permutation equivariant. Ties inside a
     window resolve to the leftmost channel.
     """
     features = features if isinstance(features, Tensor) else Tensor(features)
-    if window < 1 or window % 2 == 0:
-        raise DomainError(f"window must be odd and positive, got {window}")
     x = features.data
     k = x.shape[-1]
     if k == 0:
         raise DomainError("cannot pool over an empty channel axis")
-    half = window // 2
-    pads = [x[..., :1]] * half + [x] + [x[..., -1:]] * half
-    padded = np.concatenate(pads, axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)
-    out = _record(windows.max(axis=-1), (features,), "channel_window_max")
+    left = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
+    right = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
+    out = _record(np.maximum(np.maximum(left, x), right), (features,),
+                  "channel_window_max")
     if out._parents:
-        # map window-local argmax back to a clamped source channel
-        src = np.clip(np.arange(k) - half + windows.argmax(axis=-1), 0, k - 1)
+        # the first of (left, own, right) holding the maximum, mapped back to
+        # a clamped source channel
+        offset = np.stack([left, x, right], axis=-1).argmax(axis=-1)
+        src = np.clip(np.arange(k) - 1 + offset, 0, k - 1)
 
         def rule(g):
             gx = np.zeros_like(x)

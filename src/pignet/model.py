@@ -54,8 +54,9 @@ class ModelConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.num_parts < 2:
             raise ConfigError(f"num_parts must be >= 2, got {self.num_parts}")
-        if self.lambda_reg < 0:
-            raise ConfigError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
+        if not 0 <= self.lambda_reg < np.inf:
+            raise ConfigError(
+                f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
         for e in self.inception_plan:
             if e < 2 or e % 2:
                 raise ConfigError(f"inception filter counts must be even, got {e}")

@@ -18,7 +18,7 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class _ThreadState(threading.local):
-    # per-thread, so parallel eval-mode passes stay independent
+    # per-thread, so a caller's threads record independently
     recording = True
 
 
@@ -26,7 +26,7 @@ _State = _ThreadState()
 
 
 class no_grad:
-    """Disable graph recording inside a ``with`` block (or as a decorator)."""
+    """Disable graph recording inside a ``with`` block."""
 
     def __enter__(self):
         self._previous = _State.recording
@@ -36,13 +36,6 @@ class no_grad:
     def __exit__(self, *exc):
         _State.recording = self._previous
         return False
-
-    def __call__(self, fn):
-        def wrapped(*args, **kwargs):
-            with no_grad():
-                return fn(*args, **kwargs)
-
-        return wrapped
 
 
 class Tensor:
@@ -87,12 +80,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{flags})"
@@ -113,12 +100,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -224,21 +205,6 @@ def mul(a, b):
     return out
 
 
-def div(a, b):
-    a, b = _pair(a, b)
-    out = _record(a.data / b.data, (a, b), "div")
-    if out._parents:
-        def rule(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data),
-                                            b.data.shape))
-
-        out._backward_fn = rule
-    return out
-
-
 def neg(a):
     a = as_tensor(a)
     out = _record(-a.data, (a,), "neg")
@@ -292,22 +258,6 @@ def relu(a):
     if out._parents:
         mask = a.data > 0
         out._backward_fn = lambda g: _accumulate(a, g * mask)
-    return out
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = _record(np.exp(a.data), (a,), "exp")
-    if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, g * out.data)
-    return out
-
-
-def log(a):
-    a = as_tensor(a)
-    out = _record(np.log(a.data), (a,), "log")
-    if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, g / a.data)
     return out
 
 

@@ -39,9 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, "
+                              f"got {self.learning_rate}")
+        if not 0 < self.epsilon_adam < math.inf:
+            raise ConfigError(f"epsilon_adam must be finite and > 0, "
+                              f"got {self.epsilon_adam}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:

@@ -6,8 +6,11 @@ import pytest
 import pignet.cli
 import pignet.evaluation
 from pignet.cli import main, load_run_config
+from pignet.data import load_split
 from pignet.errors import ConfigError
+from pignet.evaluation import PART_PALETTE
 from pignet.model import parameter_count
+from pignet.training import model_from_checkpoint
 
 
 def run(args):
@@ -221,10 +224,11 @@ def tiny_train_args(tmp_path, root, extra_ini=""):
     (["synth", "--val-count", "-1"], None, "--val-count must be >= 0, got -1"),
     (["synth", "--test-count", "-1"], None,
      "--test-count must be >= 0, got -1"),
+    (["synth", "--shapes", " , "], None, "--shapes names no shape, got ' , '"),
 ], ids=["seed", "one-scale", "no-scale", "translate-order", "nan-rate",
         "inf-rate-flag", "inf-lambda", "nan-jitter", "inf-scale",
         "synth-seed", "synth-count", "synth-points", "synth-val",
-        "synth-test"])
+        "synth-test", "synth-no-shapes"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, lamp_root,
                                              argv, extra_ini, message):
     command, *flags = argv
@@ -273,6 +277,38 @@ def test_non_finite_loss_exits_1_without_checkpoint(tmp_path, capsys,
     assert err.startswith("error: loss is nan at epoch 1, batch 0; ")
     (run_dir,) = find_run_dirs(tmp_path / "runs")
     assert not (run_dir / "checkpoint.ckpt").exists()
+
+
+def test_predict_writes_the_sample_eval_scores(tmp_path, lamp_root,
+                                               monkeypatch):
+    assert run(tiny_train_args(tmp_path, lamp_root)) == 0
+    (train_dir,) = find_run_dirs(tmp_path / "runs")
+    checkpoint = train_dir / "checkpoint.ckpt"
+    assert run(["predict", "--config", tmp_path / "tiny.ini", "--data-root",
+                lamp_root, "--category", "lamp", "--checkpoint", checkpoint,
+                "--split", "train", "--seed", "5", "--points", "24",
+                "--out", tmp_path / "predict"]) == 0
+    (predict_dir,) = find_run_dirs(tmp_path / "predict")
+
+    model = model_from_checkpoint(checkpoint)
+    scored = []
+    predict = model.predict
+
+    def recording_predict(points):
+        scored.append((points, predict(points)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(model, "predict", recording_predict)
+    records = load_split(lamp_root, "lamp").train
+    pignet.evaluation.evaluate_split(model, records, 5, 24)
+    assert len(scored) == len(records)
+    for rec, (points, pred) in zip(records, scored):
+        ply = (predict_dir / "ply" / f"{rec.shape_id}.ply").read_text()
+        rows = [row.split() for row in ply.split("end_header\n")[1].splitlines()]
+        assert [row[:3] for row in rows] == \
+            [[f"{v:.6f}" for v in point] for point in points]
+        assert [tuple(map(int, row[3:])) for row in rows] == \
+            [PART_PALETTE[part % len(PART_PALETTE)] for part in pred]
 
 
 class TestSynth:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from pignet.data import write_synth_dataset, load_split
+import pignet.evaluation
+from pignet.data import load_cloud, load_split, write_synth_dataset
 from pignet.errors import ConfigError, DataError, UsageError
 from pignet.evaluation import (PART_PALETTE, SegmentationReport, ShapeResult,
                                ablation_run, ablation_tsv, ablation_variants,
@@ -173,15 +174,6 @@ class TestEvaluateSplit:
         with pytest.raises(ConfigError):
             evaluate_split(model, split.train, seed=0, points=32)
 
-    def test_thread_pool_matches_serial(self, lamp_root, monkeypatch):
-        split = load_split(lamp_root, "lamp")
-        model = build_model(tiny_model_config(), seed=3)
-        serial = evaluate_split(model, split.train, seed=7, points=32)
-        monkeypatch.setenv("PIGNET_THREADS", "3")
-        threaded = evaluate_split(model, split.train, seed=7, points=32)
-        assert [r.miou for r in serial.shapes] == \
-            [r.miou for r in threaded.shapes]
-
     def test_report_formats(self):
         report = SegmentationReport.from_shapes(
             [ShapeResult("s0", "lamp", 0.5), ShapeResult("s1", "lamp", 1.0)])
@@ -275,6 +267,24 @@ class TestRobustness:
                          (32, 0.0): 0.13020833333333334,
                          (32, 0.01): 0.13020833333333334},
         }
+
+    def test_grid_parses_each_record_once(self, lamp_root, monkeypatch):
+        parsed = []
+
+        def counting_load_cloud(points_path, *args):
+            parsed.append(points_path)
+            return load_cloud(points_path, *args)
+
+        monkeypatch.setattr(pignet.evaluation, "load_cloud",
+                            counting_load_cloud)
+        split = load_split(lamp_root, "lamp")
+        model = build_model(tiny_model_config(), seed=5)
+        baseline = build_model(
+            tiny_model_config(arch="pointnet", baseline_plan=(4, 4, 4, 8, 16)),
+            seed=5)
+        robustness_run(model, baseline, split.train, seed=9,
+                       densities=(16, 32), sigmas=(0.0, 0.01))
+        assert parsed == [rec.points_path for rec in split.train]
 
     def test_density_cell_uses_reduced_clouds(self, lamp_root):
         split = load_split(lamp_root, "lamp")

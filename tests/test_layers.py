@@ -227,6 +227,34 @@ class TestChannelWindowMax:
         err = finite_diff_check(lambda: reduce_sum(channel_window_max(x)), [x])
         assert err < 1e-3
 
+    def test_matches_sliding_window_reference(self):
+        def reference(x):
+            # sliding window of 3 over the edge-replicated row, first argmax
+            padded = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
+            windows = np.lib.stride_tricks.sliding_window_view(padded, 3,
+                                                               axis=-1)
+            k = x.shape[-1]
+            src = np.clip(np.arange(k) - 1 + windows.argmax(axis=-1), 0, k - 1)
+            grad = np.zeros_like(x)
+            for idx in np.ndindex(x.shape):
+                grad[idx[:-1] + (src[idx],)] += 1.0
+            return windows.max(axis=-1), grad
+
+        rng = np.random.default_rng(14)
+        rows = [rng.normal(size=(2, 3, 7)),
+                np.array([[2.0, 2.0, 1.0, 3.0, 3.0, 3.0, -1.0]]),  # ties
+                np.array([[0.5]]), rng.normal(size=(4, 2))]
+        for dtype in (np.float64, np.float32):
+            for data in rows:
+                data = data.astype(dtype)
+                x = Tensor(data, requires_grad=True)
+                out = channel_window_max(x)
+                backward(reduce_sum(out))
+                values, grad = reference(data)
+                assert out.data.dtype == dtype
+                assert np.array_equal(out.data, values)
+                assert np.array_equal(x.grad, grad)
+
     def test_gradient_mass_conserved(self):
         x = Tensor(np.random.default_rng(13).normal(size=(2, 5)),
                    requires_grad=True)

@@ -304,6 +304,32 @@ class TestCorruptMetadata:
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: TrainConfig(epochs=1, learning_rate=NAN), "learning_rate"),
+    (lambda: TrainConfig(epochs=1, learning_rate=INF), "learning_rate"),
+    (lambda: TrainConfig(epochs=1, epsilon_adam=NAN), "epsilon_adam"),
+    (lambda: TrainConfig(epochs=1, epsilon_adam=INF), "epsilon_adam"),
+    (lambda: TrainConfig(epochs=1, epsilon_adam=-1.0), "epsilon_adam"),
+    (lambda: TrainConfig(epochs=1, epsilon_adam=0.0), "epsilon_adam"),
+    (lambda: AugmentConfig(jitter_sigma=NAN), "jitter sigma"),
+    (lambda: AugmentConfig(jitter_sigma=INF), "jitter sigma"),
+    (lambda: AugmentConfig(scale_range=(NAN, 1.5)), "scale_range"),
+    (lambda: AugmentConfig(scale_range=(0.5, INF)), "scale_range"),
+    (lambda: AugmentConfig(translate_range=(-0.2, NAN)), "translate_range"),
+    (lambda: AugmentConfig(translate_range=(-INF, 0.2)), "translate_range"),
+    (lambda: ModelConfig(num_parts=3, lambda_reg=NAN), "lambda_reg"),
+    (lambda: ModelConfig(num_parts=3, lambda_reg=INF), "lambda_reg"),
+], ids=["nan-rate", "inf-rate", "nan-eps", "inf-eps", "negative-eps",
+        "zero-eps", "nan-jitter", "inf-jitter", "nan-scale", "inf-scale",
+        "nan-translate", "inf-translate", "nan-lambda", "inf-lambda"])
+def test_config_rejects_non_finite_and_out_of_range(build, field):
+    with pytest.raises(ConfigError, match=field):
+        build()
+
+
 class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
