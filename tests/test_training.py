@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -250,6 +251,37 @@ class TestCheckpoints:
         monkeypatch.setattr(training, "read_checkpoint", counting_read)
         model_from_checkpoint(path)
         assert reads == [path]
+
+
+def _golden_float64_with_adam(path):
+    """A float64 tiny model and its Adam state after one seeded step."""
+    model = build_model(tiny_model_config(), seed=0)
+    optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+    rng = make_rng(0, 77)
+    for _, p in optimizer.named_params:
+        p.grad = rng.normal(size=p.data.shape)
+    optimizer.step()
+    save_checkpoint(path, model, optimizer, epoch=1,
+                    rng_state=make_rng(0, 1).bit_generator.state)
+
+
+def _golden_float32_without_adam(path):
+    save_checkpoint(path, build_model(tiny_model_config(dtype="float32"),
+                                      seed=0))
+
+
+@pytest.mark.parametrize("write, digest", [
+    (_golden_float64_with_adam,
+     "ad7498dcb364b1679dc9f2f01c97f21724414d3e2c8c65c49889f45076ccabf8"),
+    (_golden_float32_without_adam,
+     "b954663af3daf6d8a330d7ef5dccd4d8016aa8fdc0528166c2b8772f2882bbac"),
+], ids=["float64-adam", "float32-no-adam"])
+def test_checkpoint_bytes_golden(tmp_path, write, digest):
+    # pins the PIGNET01 layout byte for byte: header, metadata JSON, record
+    # order, extents and little-endian float64 values
+    path = tmp_path / "model.ckpt"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCorruptMetadata:
