@@ -53,12 +53,17 @@ class PointwiseConv(Module):
         features of shape (..., n, d_in)
     Return:
         features of shape (..., n, d_out); row i depends only on input row i.
+
+    The weight starts from He-normal draws of ``rng``; with ``rng=None`` it
+    starts at zero and draws nothing, for weights about to be overwritten.
     """
 
     def __init__(self, d_in, d_out, rng, bias=True, dtype=np.float64):
-        scale = math.sqrt(2.0 / d_in)
-        self.weight = Tensor(rng.normal(0.0, scale, size=(d_in, d_out)),
-                             requires_grad=True, dtype=dtype)
+        if rng is None:
+            weight = np.zeros((d_in, d_out), dtype)
+        else:
+            weight = rng.normal(0.0, math.sqrt(2.0 / d_in), size=(d_in, d_out))
+        self.weight = Tensor(weight, requires_grad=True, dtype=dtype)
         self.bias = None
         if bias:
             self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)

@@ -125,7 +125,7 @@ class PigNet(_HeadMixin):
         self.config = config
         dtype = DTYPES[config.dtype]
         self.dtype = dtype
-        rng = make_rng(seed, INIT)
+        rng = _init_rng(seed)
         self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
                                config.tnet_fc_widths, dtype=dtype)
         if config.use_inception:
@@ -198,7 +198,7 @@ class PointNetBaseline(_HeadMixin):
         self.config = config
         dtype = DTYPES[config.dtype]
         self.dtype = dtype
-        rng = make_rng(seed, INIT)
+        rng = _init_rng(seed)
         self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
                                config.tnet_fc_widths, dtype=dtype)
         self.convs = Ladder(3, config.baseline_plan, rng, dtype)
@@ -226,7 +226,15 @@ class PointNetBaseline(_HeadMixin):
         return logits, None
 
 
+def _init_rng(seed):
+    """The generator of the initial weights; None draws none (all zero)."""
+    return None if seed is None else make_rng(seed, INIT)
+
+
 def build_model(config, seed=0):
+    """Build the network ``config`` describes, its weights drawn from
+    ``seed``; ``seed=None`` draws no weights, for a model whose parameters
+    are about to be overwritten, as from a checkpoint."""
     if config.arch == "pignet":
         return PigNet(config, seed)
     return PointNetBaseline(config, seed)

@@ -326,9 +326,16 @@ def reduce_max(a, axis):
     axis = axis % a.ndim
     if a.shape[axis] == 0:
         raise DomainError("cannot take a maximum over an empty axis")
-    out = _record(a.data.max(axis=axis), (a,), "max")
+    peak = a.data.max(axis=axis)
+    out = _record(peak, (a,), "max")
     if out._parents:
-        idx = a.data.argmax(axis=axis)  # first occurrence on ties
+        # the first occurrence on ties; matching the maximum is about twice
+        # as fast as argmax along a strided axis, but no NaN matches, so
+        # NaN input keeps argmax's choice of its first NaN
+        if np.isnan(peak).any():
+            idx = a.data.argmax(axis=axis)
+        else:
+            idx = (a.data == np.expand_dims(peak, axis)).argmax(axis=axis)
 
         def rule(g):
             gx = np.zeros_like(a.data)

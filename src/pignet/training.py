@@ -4,6 +4,11 @@ Checkpoint layout: the magic bytes ``PIGNET01``, a little-endian u32 length
 followed by a JSON metadata block (config hash and full config, epoch, RNG
 state, tensor count), then one record per tensor: u32 name length, the name,
 u32 rank, u64 extents, and the values as little-endian float64.
+
+A save streams the header and then each record to a temporary file and
+renames it over the target. A read takes the whole file into one buffer and
+returns float64 views into it. ``model_from_checkpoint`` builds its model
+without drawing initial weights, since the file overwrites every one.
 """
 
 import hashlib
@@ -217,7 +222,10 @@ def _named_arrays(model, optimizer=None):
 
 
 def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
-    """Serialize model (and optimizer) state; the write is atomic."""
+    """Serialize model (and optimizer) state; the write is atomic.
+
+    The header and then each tensor's record go straight to a temporary
+    file, which is renamed over ``path`` once complete."""
     arrays = _named_arrays(model, optimizer)
     meta = {
         "config_hash": config_hash(model.config),
@@ -227,28 +235,32 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
         "tensor_count": len(arrays),
         "adam_step_count": None if optimizer is None else optimizer.step_count,
     }
-    blob = bytearray(MAGIC)
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    for name, arr in arrays:
-        name_bytes = name.encode()
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", data.ndim)
-        blob += struct.pack(f"<{data.ndim}Q", *data.shape)
-        blob += data.tobytes()
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes)
+        for name, arr in arrays:
+            name_bytes = name.encode()
+            data = np.ascontiguousarray(arr, dtype="<f8")
+            fh.write(struct.pack(f"<I{len(name_bytes)}sI{data.ndim}Q",
+                                 len(name_bytes), name_bytes, data.ndim,
+                                 *data.shape))
+            fh.write(data)
     os.replace(tmp, path)
 
 
 def read_checkpoint(path):
-    """Parse a checkpoint into (metadata, {name: array}); no model needed."""
+    """Parse a checkpoint into (metadata, {name: array}); no model needed.
+
+    The file is read once into one writable buffer, and the arrays are
+    little-endian float64 views into it.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(blob)
+    if got != len(blob):
+        raise FormatError(
+            f"{path} is truncated: read {got} of {len(blob)} bytes")
     view = memoryview(blob)
     pos = 0
 
@@ -283,7 +295,7 @@ def read_checkpoint(path):
         for extent in shape:
             count *= extent
         raw = grab(8 * count, f"tensor {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if pos != len(view):
         raise FormatError(f"{path} has {len(view) - pos} trailing bytes")
     return meta, arrays
@@ -318,14 +330,15 @@ def _apply_checkpoint(meta, arrays, model, optimizer=None):
                 f"tensor {name} has shape {stored.shape}, expected "
                 f"{target.shape}")
     for name, target in expected:
-        target[...] = arrays[name].astype(target.dtype)
+        target[...] = arrays[name]  # casts to the model's dtype in place
     if optimizer is not None and meta.get("adam_step_count") is not None:
         optimizer.step_count = int(meta["adam_step_count"])
     return int(meta.get("epoch", 0)), meta.get("rng_state")
 
 
-def model_from_checkpoint(path, seed=0):
-    """Rebuild the saved configuration and load the weights into it."""
+def model_from_checkpoint(path):
+    """Rebuild the saved configuration and load the weights into it; the
+    model is built without drawing initial weights."""
     from .model import ModelConfig
     meta, arrays = read_checkpoint(path)
     cfg_dict = meta.get("config")
@@ -336,6 +349,6 @@ def model_from_checkpoint(path, seed=0):
     except (TypeError, ValueError, ConfigError) as exc:
         raise FormatError(
             f"{path} holds an invalid model configuration: {exc}") from exc
-    model = build_model(config, seed=seed)
+    model = build_model(config, seed=None)
     _apply_checkpoint(meta, arrays, model)
     return model

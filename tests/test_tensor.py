@@ -87,6 +87,36 @@ class TestReduceMax:
         assert np.allclose(x.grad.sum(axis=0), w)
 
 
+def _argmax_routed_gradient(x, axis, g):
+    """Each upstream value routed to ``x.argmax(axis)``, the first maximum
+    (or the first NaN), as the recording pass did before it matched the
+    maximum instead."""
+    gx = np.zeros_like(x)
+    np.put_along_axis(gx, np.expand_dims(x.argmax(axis=axis), axis),
+                      np.expand_dims(g, axis), axis)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_nan", [False, True], ids=["ties", "nan"])
+@pytest.mark.parametrize("axis", [0, -2, -1])
+def test_reduce_max_routes_like_argmax(dtype, with_nan, axis):
+    rng = np.random.default_rng(11)
+    # small integers tie often; zeros come with both signs
+    data = rng.integers(-2, 3, size=(4, 6, 5)).astype(dtype)
+    data[data == 0] = np.copysign(0.0, rng.normal(size=(data == 0).sum()))
+    if with_nan:
+        data[rng.random(data.shape) < 0.1] = np.nan
+    x = Tensor(data, requires_grad=True)
+    out = reduce_max(x, axis=axis)
+    g = np.arange(1, out.data.size + 1, dtype=dtype).reshape(out.shape)
+    backward((out * Tensor(g)).sum())
+    assert out.data.tobytes() == data.max(axis=axis).tobytes()
+    assert x.grad.dtype == dtype
+    assert (x.grad.tobytes()
+            == _argmax_routed_gradient(data, axis, g).tobytes())
+
+
 class TestReduceMean:
     def test_column_means(self):
         out = reduce_mean(t([[1.0, 3.0], [5.0, 7.0]]), axis=0)

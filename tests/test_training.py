@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -206,8 +208,9 @@ class TestCheckpoints:
         path.write_bytes(blob[:len(blob) // 2])
         target = build_model(config, seed=123)
         before = parameter_hash(target)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated") as err:
             load_checkpoint(path, target)
+        assert str(path) in str(err.value)
         assert parameter_hash(target) == before
 
     def test_bad_magic_rejected(self, tmp_path, lamp_split):
@@ -282,6 +285,76 @@ def test_checkpoint_bytes_golden(tmp_path, write, digest):
     path = tmp_path / "model.ckpt"
     write(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCheckpointLoadPath:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(tiny_model_config(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        return path, model
+
+    def test_model_from_checkpoint_draws_no_init(self, saved, monkeypatch):
+        import pignet.model
+
+        def refuse(*entropy):
+            raise AssertionError("an initial weight was drawn")
+
+        monkeypatch.setattr(pignet.model, "make_rng", refuse)
+        path, model = saved
+        assert parameter_hash(model_from_checkpoint(path)) == \
+            parameter_hash(model)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_loaded_model_equals_saved_bit_for_bit(self, tmp_path, dtype):
+        model = build_model(tiny_model_config(dtype=dtype), seed=4)
+        for i, (_, arr) in enumerate(model.named_state()):
+            arr[...] = make_rng(4, i).normal(size=arr.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        loaded = model_from_checkpoint(path)
+
+        def tensors(m):
+            arrays = [(name, p.data) for name, p in m.named_parameters()]
+            return [(name, arr.dtype, arr.tobytes())
+                    for name, arr in arrays + m.named_state()]
+
+        assert tensors(loaded) == tensors(model)
+        assert {dt for _, dt, _ in tensors(loaded)} == {np.dtype(dtype)}
+
+    def test_read_arrays_are_writable_float64(self, saved):
+        path, model = saved
+        _, arrays = read_checkpoint(path)
+        assert len(arrays) == len(model.named_parameters()) + len(
+            model.named_state())
+        for arr in arrays.values():
+            assert arr.dtype == np.dtype("<f8")
+            assert arr.flags.writeable
+
+    def test_shape_mismatch_writes_nothing(self, saved):
+        path, _ = saved
+        target = build_model(tiny_model_config(), seed=5)
+        # the last tensor in checkpoint order is the one that mismatches
+        target.head.bn1.running_var = np.ones(9)
+        before = parameter_hash(target)
+        running_mean = target.head.bn1.running_mean.copy()
+        with pytest.raises(CompatibilityError, match="running_var"):
+            load_checkpoint(path, target)
+        assert parameter_hash(target) == before
+        assert np.array_equal(target.head.bn1.running_mean, running_mean)
+
+    def test_file_shrinking_during_the_read_names_the_path(self, saved,
+                                                           monkeypatch):
+        path, _ = saved
+        real_fstat = os.fstat
+        with monkeypatch.context() as patch:
+            # the size taken before the read exceeds what the read finds
+            patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+                st_size=real_fstat(fd).st_size + 8))
+            with pytest.raises(FormatError, match="truncated") as err:
+                read_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 class TestCorruptMetadata:
