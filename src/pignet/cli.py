@@ -19,14 +19,14 @@ from typing import get_args
 
 import numpy as np
 
-from .errors import ConfigError, PignetError
+from .errors import ConfigError, ParseError, PignetError
 from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_split,
-                   write_synth_dataset)
+                   utf8_lines, write_synth_dataset)
 from .model import ModelConfig, parameter_count
 from .training import (TrainConfig, model_from_checkpoint, save_checkpoint,
                        train_category)
 from .evaluation import (ablation_run, ablation_tsv, ablation_variants,
-                         evaluate_split, labeled_cloud, predict_sample,
+                         evaluate_split, predict_sample,
                          robustness_run, robustness_tsv, write_ply)
 
 # the defaults the config dataclasses lack; num_parts 'auto' is inferred from
@@ -131,10 +131,11 @@ def _read_ini(path):
     is not an interpolation."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise ConfigError(f"{path}:{line}: not UTF-8 text") from exc
+        parser.read_file(utf8_lines(path), source=str(path))
+    except OSError as exc:
+        raise FileNotFoundError(f"config file not found: {path}") from exc
+    except ParseError as exc:  # bytes that are not UTF-8
+        raise ConfigError(str(exc)) from exc
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         # drop the "While reading from '<path>' [line N]: " of duplicates
@@ -144,8 +145,6 @@ def _read_ini(path):
             detail = f"cannot parse {text}"
         where = str(path) if line is None else f"{path}:{line}"
         raise ConfigError(f"{where}: {detail}") from exc
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
     return parser
 
 
@@ -314,7 +313,7 @@ def cmd_predict(args):
     ply_dir = run_dir / "ply"
     ply_dir.mkdir()
     for i, rec in enumerate(records):
-        sampled, pred = predict_sample(model, labeled_cloud(rec),
+        sampled, pred = predict_sample(model, rec.labeled_cloud(),
                                        cfg.train_config.seed, i, cfg.points)
         write_ply(ply_dir / f"{rec.shape_id}.ply", sampled.points, pred)
     print(f"{len(records)} colored predictions written to {ply_dir}")

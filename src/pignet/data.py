@@ -8,7 +8,8 @@ A dataset root is laid out as ``<root>/<category>/points/<id>.pts`` and
 and ``test.txt`` manifests (one id per line) next to them.
 """
 
-import itertools
+import functools
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,33 +49,43 @@ class PointCloud:
         return PointCloud(self.points.copy(), labels, self.category)
 
 
-def _line_of_row(path, row):
-    """Line number of the ``row``-th (0-based) non-blank line of a file."""
-    with open(path) as fh:
-        linenos = (n for n, line in enumerate(fh, start=1) if line.split())
-        return next(itertools.islice(linenos, row, None), "?")
+def utf8_lines(path):
+    """The lines of a UTF-8 text file, split as ``open`` splits them; bytes
+    that are not UTF-8 raise ParseError naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text") from exc
+    return io.StringIO(text, newline=None).readlines()
+
+
+def _numbered_lines(path):
+    """(line number, line) of each non-blank line of a UTF-8 text file."""
+    return [(n, line) for n, line in enumerate(utf8_lines(path), start=1)
+            if line.strip()]
 
 
 def load_cloud(points_path, labels_path=None, category=""):
     """Parse a points file (and optional labels file) into a PointCloud.
 
-    Empty files and non-finite coordinates (``nan``, ``inf``) raise a
-    ParseError naming the file, and the line where there is one.
+    Empty files, bytes that are not UTF-8, non-finite coordinates (``nan``,
+    ``inf``) and negative labels raise a ParseError naming the file, and the
+    line where there is one.
     """
+    lines = _numbered_lines(points_path)
     points = []
-    with open(points_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ParseError(
-                    f"{points_path}:{lineno}: expected 'x y z', got {line!r}")
-            try:
-                points.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError(
-                    f"{points_path}:{lineno}: not a real triple: {line!r}")
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(
+                f"{points_path}:{lineno}: expected 'x y z', got {line!r}")
+        try:
+            points.append([float(v) for v in parts])
+        except ValueError:
+            raise ParseError(
+                f"{points_path}:{lineno}: not a real triple: {line!r}")
     if not points:
         raise ParseError(f"{points_path}: holds no points")
     coords = np.array(points, dtype=np.float64)
@@ -82,21 +93,20 @@ def load_cloud(points_path, labels_path=None, category=""):
     if not finite.all():
         row = int(np.argmin(finite))
         raise ParseError(
-            f"{points_path}:{_line_of_row(points_path, row)}: non-finite "
+            f"{points_path}:{lines[row][0]}: non-finite "
             f"coordinate in {coords[row].tolist()}")
     labels = None
     if labels_path is not None:
         labels = []
-        with open(labels_path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                try:
-                    labels.append(int(token))
-                except ValueError:
-                    raise ParseError(
-                        f"{labels_path}:{lineno}: not an integer label: {line!r}")
+        for lineno, line in _numbered_lines(labels_path):
+            try:
+                label = int(line)
+            except ValueError:
+                raise ParseError(
+                    f"{labels_path}:{lineno}: not an integer label: {line!r}")
+            if label < 0:
+                raise ParseError(f"{labels_path}:{lineno}: negative label {label}")
+            labels.append(label)
         if len(labels) != len(points):
             raise DataError(
                 f"{points_path} has {len(points)} points but {labels_path} "
@@ -345,10 +355,24 @@ def synth_generate(category, count, seed, points_per_shape=2048):
 
 @dataclass(frozen=True)
 class ShapeRecord:
+    """One labeled shape; ``cloud`` parses its files on first use, once."""
+
     shape_id: str
     category: str
     points_path: Path
     labels_path: Path
+
+    @functools.cached_property
+    def cloud(self):
+        """The parsed files as read, with read-only arrays."""
+        cloud = load_cloud(self.points_path, self.labels_path, self.category)
+        cloud.points.flags.writeable = False
+        cloud.labels.flags.writeable = False
+        return cloud
+
+    def labeled_cloud(self):
+        """The parsed cloud centered and scaled to the unit ball."""
+        return normalize(self.cloud)
 
 
 @dataclass
@@ -376,8 +400,7 @@ class DatasetSplit:
 def _read_manifest(path):
     if not path.exists():
         return []
-    with open(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for _, line in _numbered_lines(path)]
 
 
 def load_split(root, category):
@@ -425,12 +448,7 @@ def write_synth_dataset(root, categories, count, seed, points_per_shape=2048,
 
 def infer_num_parts(split):
     """Highest label across every split file, plus one."""
-    highest = -1
-    for name in ("train", "val", "test"):
-        for rec in split.records(name):
-            cloud = load_cloud(rec.points_path, rec.labels_path, rec.category)
-            if cloud.labels is not None and cloud.labels.size:
-                highest = max(highest, int(cloud.labels.max()))
-    if highest < 0:
+    records = split.train + split.val + split.test
+    if not records:
         raise DataError("dataset has no labels; cannot infer the part count")
-    return highest + 1
+    return 1 + max(int(rec.cloud.labels.max()) for rec in records)

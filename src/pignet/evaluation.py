@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
 from .seeding import EVAL, NOISE
-from .data import add_gaussian_noise, load_cloud, normalize, sample_points
+from .data import add_gaussian_noise, sample_points
 from .model import build_model, count_parameters
 from .training import parameter_hash, train_category
 
@@ -91,14 +91,6 @@ class SegmentationReport:
                 f"category mIoU\t{self.category_miou:.6f}\n")
 
 
-def labeled_cloud(rec):
-    """Parse and normalize one shape record, which must carry labels."""
-    cloud = normalize(load_cloud(rec.points_path, rec.labels_path, rec.category))
-    if cloud.labels is None:
-        raise DataError(f"{rec.points_path} has no labels to evaluate against")
-    return cloud
-
-
 def predict_sample(model, cloud, seed, index, points, sigma=0.0):
     """The evaluation sample of shape ``index`` of a labeled cloud, with
     Gaussian noise of std ``sigma`` when it is positive, and the model's part
@@ -131,7 +123,7 @@ def evaluate_split(model, records, seed, points=1024):
     """
     if not records:
         raise UsageError("no shapes to evaluate")
-    return _score(model, records, [labeled_cloud(r) for r in records], seed,
+    return _score(model, records, [r.labeled_cloud() for r in records], seed,
                   points)
 
 
@@ -214,7 +206,7 @@ def robustness_run(model, baseline, records, seed,
     by evaluate_split's code, so the (max density, sigma 0) cell reproduces
     the plain evaluation at that point count bit for bit under the same seed.
     """
-    clouds = [labeled_cloud(r) for r in records]
+    clouds = [r.labeled_cloud() for r in records]
     grids = {}
     models = {"pignet": model}
     if baseline is not None:

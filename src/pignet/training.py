@@ -25,7 +25,7 @@ from .errors import (CompatibilityError, ConfigError, DataError,
 from .seeding import AUGMENT, SAMPLE, SHUFFLE, make_rng
 from .tensor import Tensor, backward
 from .model import build_model, config_hash, segmentation_loss
-from .data import augment, load_cloud, normalize, sample_points
+from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
 
@@ -103,21 +103,6 @@ class AdamOptimizer:
             p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
-def _load_training_clouds(records, num_parts):
-    clouds = []
-    for rec in records:
-        cloud = normalize(load_cloud(rec.points_path, rec.labels_path,
-                                     rec.category))
-        if cloud.labels is None:
-            raise DataError(f"{rec.points_path} has no labels")
-        if cloud.labels.max() >= num_parts or cloud.labels.min() < 0:
-            raise DataError(
-                f"{rec.labels_path} holds label {int(cloud.labels.max())} "
-                f"outside [0, {num_parts})")
-        clouds.append(cloud)
-    return clouds
-
-
 def _train_step(model, optimizer, clouds, batch_idx, epoch, batch_number,
                 train_config, augment_config, lambda_reg):
     """Augment ``clouds[batch_idx]`` (seeded by epoch and shape index), then
@@ -171,11 +156,16 @@ def train_category(records, model_config, train_config, augment_config=None,
     """
     if not records:
         raise DataError("training list is empty")
-    clouds = _load_training_clouds(records, model_config.num_parts)
+    for rec in records:
+        if rec.cloud.labels.max() >= model_config.num_parts:
+            raise DataError(
+                f"{rec.labels_path} holds label {int(rec.cloud.labels.max())} "
+                f"outside [0, {model_config.num_parts})")
     # fixed-size resampling happens once per shape; augmentation is re-drawn
     # every epoch
-    clouds = [sample_points(c, points, (train_config.seed, SAMPLE, i))
-              for i, c in enumerate(clouds)]
+    clouds = [sample_points(rec.labeled_cloud(), points,
+                            (train_config.seed, SAMPLE, i))
+              for i, rec in enumerate(records)]
     model = build_model(model_config, seed=train_config.seed)
     optimizer = AdamOptimizer.for_model(model, train_config)
     shuffle_rng = make_rng(train_config.seed, SHUFFLE)

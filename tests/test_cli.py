@@ -4,6 +4,7 @@ from dataclasses import asdict
 import pytest
 
 import pignet.cli
+import pignet.data
 import pignet.evaluation
 from pignet.cli import main, load_run_config
 from pignet.data import load_split
@@ -17,11 +18,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def synth(tmp_path, shapes="lamp", count=3, test_count=0):
+def synth(tmp_path, shapes="lamp", count=3, test_count=0, val_count=0):
     root = tmp_path / "data"
     assert run(["synth", "--shapes", shapes, "--count", count,
-                "--test-count", test_count, "--cloud-points", 96,
-                "--seed", 7, "--out", root]) == 0
+                "--val-count", val_count, "--test-count", test_count,
+                "--cloud-points", 96, "--seed", 7, "--out", root]) == 0
     return root
 
 
@@ -404,6 +405,86 @@ class TestTrainEvalPredict:
                     "lamp", "--epochs", "1", "--out", tmp_path / "runs"])
         assert code != 0
 
+    def test_negative_label_exits_1_naming_the_line(self, tmp_path, capsys):
+        root = synth(tmp_path, count=2)
+        seg = root / "lamp" / "points_label" / "lamp_0001.seg"
+        seg.write_text("-1\n" + seg.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        assert run(tiny_train_args(tmp_path, root)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {seg}:1: negative label -1\n")
+
+    @pytest.mark.parametrize("victim", ["points/lamp_0001.pts",
+                                        "points_label/lamp_0001.seg",
+                                        "train.txt"])
+    def test_non_utf8_input_exits_1_naming_the_line(self, tmp_path, capsys,
+                                                    victim):
+        root = synth(tmp_path, count=2)
+        path = root / "lamp" / victim
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        line = path.read_bytes().count(b"\n")
+        capsys.readouterr()
+        assert run(tiny_train_args(tmp_path, root)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{line}: not UTF-8 text\n"
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The points path of every ``load_cloud`` call, in call order."""
+    calls = []
+    real = pignet.data.load_cloud
+
+    def counting(points_path, *args):
+        calls.append(points_path)
+        return real(points_path, *args)
+
+    monkeypatch.setattr(pignet.data, "load_cloud", counting)
+    return calls
+
+
+class TestEachFileParsedOnce:
+    """Every command parses each shape file it reads exactly once, however
+    many epochs, variants or grid cells reuse it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("parse-once")
+        root = synth(tmp_path, count=4, val_count=2, test_count=2)
+        assert run(tiny_train_args(tmp_path, root)) == 0
+        return root, find_run_dirs(tmp_path / "runs")[0] / "checkpoint.ckpt"
+
+    @staticmethod
+    def points_files(root, *splits):
+        return sorted(root / "lamp" / "points" / f"{shape_id}.pts"
+                      for split in splits
+                      for shape_id in (root / "lamp" / f"{split}.txt")
+                      .read_text().split())
+
+    def common(self, tmp_path, root, command):
+        return [command, "--config", tiny_config_file(tmp_path),
+                "--data-root", root, "--category", "lamp",
+                "--out", tmp_path / "runs"] + TINY_MODEL_FLAGS
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--epochs", "3"]),
+        ("ablate", ["--epochs", "1", "--split", "test"]),
+    ])
+    def test_training_commands(self, tmp_path, trained, parsed, command,
+                               extra):
+        root, _ = trained
+        assert run(self.common(tmp_path, root, command) + extra) == 0
+        # num_parts is checked against the labels of all three splits
+        assert sorted(parsed) == self.points_files(root, "train", "val",
+                                                   "test")
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "robustness"])
+    def test_held_out_commands(self, tmp_path, trained, parsed, command):
+        root, checkpoint = trained
+        assert run(self.common(tmp_path, root, command)
+                   + ["--checkpoint", checkpoint, "--split", "test"]) == 0
+        assert sorted(parsed) == self.points_files(root, "test")
+
 
 class TestConfigFile:
     def test_unknown_key_exits_2_and_names_key(self, tmp_path, capsys):
@@ -425,8 +506,9 @@ class TestConfigFile:
         (b"[train]\n[train]\n", 2),               # duplicate section
         (b"[train]\n  = 0.1\n", 2),               # indented line, no key
         (b"[train]\nseed = \xff\n", 2),           # not UTF-8
+        (b"[train]\n" + b"# comment\n" * 1000 + b"seed = \xff\n", 1002),
     ], ids=["no-section", "duplicate-key", "duplicate-section",
-            "unparsable-line", "not-utf8"])
+            "unparsable-line", "not-utf8", "not-utf8-past-8kb"])
     def test_malformed_ini_exits_2_and_names_line(self, tmp_path, capsys,
                                                   content, line):
         config = tmp_path / "bad.ini"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pignet.data
 from pignet.data import (AugmentConfig, LAMP_POLE_HEIGHT, LAMP_POLE_RADIUS,
                          PointCloud, add_gaussian_noise, augment, load_cloud,
                          load_split, normalize, rotate_up, sample_points,
@@ -55,6 +56,25 @@ class TestLoadSave:
         with pytest.raises(ParseError) as err:
             load_cloud(path)
         assert f"{path}:3:" in str(err.value)
+
+    def test_negative_label_names_line(self, tmp_path):
+        pts = tmp_path / "c.pts"
+        seg = tmp_path / "c.seg"
+        pts.write_text("0 0 0\n1 1 1\n2 2 2\n")
+        seg.write_text("0\n\n-1\n2\n")
+        with pytest.raises(ParseError) as err:
+            load_cloud(pts, seg)
+        assert str(err.value) == f"{seg}:3: negative label -1"
+
+    @pytest.mark.parametrize("bad", ["points", "labels"])
+    def test_non_utf8_bytes_name_line(self, tmp_path, bad):
+        paths = {"points": tmp_path / "c.pts", "labels": tmp_path / "c.seg"}
+        paths["points"].write_bytes(b"0 0 0\n1 1 1\n")
+        paths["labels"].write_bytes(b"0\n1\n")
+        paths[bad].write_bytes(b"\n" + paths[bad].read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(ParseError) as err:
+            load_cloud(paths["points"], paths["labels"])
+        assert str(err.value) == f"{paths[bad]}:4: not UTF-8 text"
 
     def test_empty_file_names_file(self, tmp_path):
         path = tmp_path / "c.pts"
@@ -266,6 +286,24 @@ class TestDatasetLayout:
         cloud = load_cloud(rec.points_path, rec.labels_path, rec.category)
         assert cloud.n == 128
         assert cloud.labels is not None
+
+    def test_record_parses_once_into_read_only_arrays(self, tmp_path,
+                                                       monkeypatch):
+        root = write_synth_dataset(tmp_path / "data", ["lamp"], count=1,
+                                   seed=0, points_per_shape=64)
+        (rec,) = load_split(root, "lamp").train
+        parsed = []
+        monkeypatch.setattr(pignet.data, "load_cloud",
+                            lambda *args: parsed.append(args) or load_cloud(*args))
+        cloud = rec.cloud
+        assert rec.cloud is cloud and rec.labeled_cloud() is not cloud
+        assert parsed == [(rec.points_path, rec.labels_path, "lamp")]
+        assert not cloud.points.flags.writeable
+        assert not cloud.labels.flags.writeable
+        with pytest.raises(ValueError):
+            cloud.points[0, 0] = 1.0
+        expected = normalize(load_cloud(rec.points_path, rec.labels_path))
+        assert rec.labeled_cloud().points.tobytes() == expected.points.tobytes()
 
     def test_split_disjointness_enforced(self, tmp_path):
         root = write_synth_dataset(tmp_path / "data", ["lamp"], count=2,

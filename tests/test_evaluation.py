@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-import pignet.evaluation
+import pignet.data
 from pignet.data import load_cloud, load_split, write_synth_dataset
 from pignet.errors import ConfigError, DataError, UsageError
 from pignet.evaluation import (PART_PALETTE, SegmentationReport, ShapeResult,
@@ -275,8 +275,7 @@ class TestRobustness:
             parsed.append(points_path)
             return load_cloud(points_path, *args)
 
-        monkeypatch.setattr(pignet.evaluation, "load_cloud",
-                            counting_load_cloud)
+        monkeypatch.setattr(pignet.data, "load_cloud", counting_load_cloud)
         split = load_split(lamp_root, "lamp")
         model = build_model(tiny_model_config(), seed=5)
         baseline = build_model(

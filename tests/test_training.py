@@ -10,6 +10,7 @@ import pytest
 from pignet.data import AugmentConfig, write_synth_dataset, load_split
 from pignet.errors import (CompatibilityError, ConfigError, DataError,
                            DimensionError, DomainError, FormatError)
+from pignet.evaluation import evaluate_split
 from pignet.model import ModelConfig, build_model
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor
@@ -118,6 +119,20 @@ class TestTrainCategory:
         train_cfg = TrainConfig(epochs=1, seed=4, batch_size=8)
         with pytest.raises(DataError):
             train_category(lamp_split.train, config, train_cfg, points=32)
+
+    def test_record_clouds_untouched_by_training_and_evaluation(self,
+                                                                lamp_split):
+        records = lamp_split.train
+        before = [(r.cloud.points.tobytes(), r.cloud.labels.tobytes())
+                  for r in records]
+        assert not any(r.cloud.points.flags.writeable
+                       or r.cloud.labels.flags.writeable for r in records)
+        result = train_category(records, tiny_model_config(),
+                                TrainConfig(epochs=2, seed=4, batch_size=2),
+                                quiet_augment(), points=32)
+        evaluate_split(result.model, records, seed=4, points=32)
+        assert [(r.cloud.points.tobytes(), r.cloud.labels.tobytes())
+                for r in records] == before
 
     def test_empty_training_list_rejected(self):
         with pytest.raises(DataError):
