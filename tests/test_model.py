@@ -12,7 +12,7 @@ from pignet.model import (ModelConfig, PigNet, PointNetBaseline, build_model,
                           config_hash, count_parameters, parameter_count,
                           segmentation_loss)
 from pignet.seeding import make_rng
-from pignet.tensor import Tensor, finite_diff_check
+from pignet.tensor import Tensor, backward, finite_diff_check
 from pignet.training import AdamOptimizer, TrainConfig, _named_arrays
 
 
@@ -151,6 +151,37 @@ class TestLoss:
         uniform = segmentation_loss(Tensor(np.zeros((7, 3))),
                                     np.zeros(7, dtype=int)).item()
         assert np.isclose(uniform, math.log(3.0))
+
+
+# SHA-256 of the loss bytes and of the gradient bytes of the logits and the
+# feature matrix, for a fixed (B, n, P) batch with the regularizer on; a
+# change here means a seeded training run no longer replays
+LOSS_GOLDEN = {
+    "float32": (
+        "f7e1156a959c81f7fb4f89eb5968ba4165b184265b7b6c076dca8e1387234959",
+        "92cabe192e085de5d412ad5baa68b780954140f4c378eedb5ca5fd712746cc95",
+        "6b927f028064c8e92bfe971c9564aa598cebf8342666361fe2a90564a8f583bb"),
+    "float64": (
+        "5bbaac495741bac2c5dc291a6bad01dd5f52745ca7669d29632cf939ca002fb4",
+        "91ba0d4a05b35566f21da743ccc44bc4f475faab9d435a714fd655f1e1ea2cde",
+        "ff0b99b0e7c8861a96d0d9776faa3bbc43ce8cc4c4c5ad1c3430436eec38efc2"),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_loss_and_gradient_golden(dtype):
+    rng = np.random.default_rng(41)
+    logits = Tensor(rng.normal(scale=3.0, size=(3, 17, 5)).astype(dtype),
+                    requires_grad=True)
+    mat = Tensor((np.eye(4) + 0.2 * rng.normal(size=(3, 4, 4))).astype(dtype),
+                 requires_grad=True)
+    labels = rng.integers(0, 5, size=(3, 17))
+    loss = segmentation_loss(logits, labels, mat, lambda_reg=0.01)
+    backward(loss)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (loss.data, logits.grad, mat.grad))
+    assert loss.dtype == logits.grad.dtype == mat.grad.dtype == dtype
+    assert got == LOSS_GOLDEN[dtype]
 
 
 class TestPredict:
