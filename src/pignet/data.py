@@ -146,8 +146,8 @@ def sample_points(cloud, m, seed):
         raise UsageError(f"sample size must be >= 1, got {m}")
     rng = rng_of(seed)
     idx = rng.choice(cloud.n, size=m, replace=cloud.n < m)
-    labels = None if cloud.labels is None else cloud.labels[idx].copy()
-    return PointCloud(cloud.points[idx].copy(), labels, cloud.category)
+    labels = None if cloud.labels is None else cloud.labels[idx]
+    return PointCloud(cloud.points[idx], labels, cloud.category)
 
 
 def rotate_up(points, angle, up_axis=1):
@@ -400,6 +400,8 @@ class DatasetSplit:
 def _read_manifest(path):
     if not path.exists():
         return []
+    if not path.is_file():
+        raise DataError(f"split manifest is not a file: {path}")
     return [line.strip() for _, line in _numbered_lines(path)]
 
 
@@ -416,8 +418,10 @@ def load_split(root, category):
             pts = cat_dir / "points" / f"{shape_id}.pts"
             seg = cat_dir / "points_label" / f"{shape_id}.seg"
             for p in (pts, seg):
-                if not p.exists():
-                    raise DataError(f"missing dataset file: {p}")
+                if not p.is_file():
+                    what = ("dataset path is not a file" if p.exists()
+                            else "missing dataset file")
+                    raise DataError(f"{what}: {p}")
             records.append(ShapeRecord(shape_id, category, pts, seg))
         lists[name] = records
     return DatasetSplit(lists["train"], lists["val"], lists["test"])

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
 from .tensor import (Tensor, _accumulate, _accurate_mean, _accurate_sum,
-                     _record, matmul, reduce_max, reduce_mean, relu, reshape,
-                     transpose_last2, reduce_sum)
+                     _record, as_tensor, matmul, reduce_max, reduce_mean, relu,
+                     reshape, transpose_last2, reduce_sum)
 
 
 class Module:
@@ -70,7 +70,7 @@ class PointwiseConv(Module):
         self.d_in = d_in
 
     def __call__(self, features):
-        features = features if isinstance(features, Tensor) else Tensor(features)
+        features = as_tensor(features)
         if features.shape[-1] != self.d_in:
             raise DimensionError(
                 f"layer expects {self.d_in} input channels, got shape "
@@ -100,7 +100,7 @@ class BatchNorm(Module):
         self.running_var = np.ones(width, dtype=dtype)
 
     def __call__(self, features, training=False):
-        features = features if isinstance(features, Tensor) else Tensor(features)
+        features = as_tensor(features)
         if features.shape[-1] != self.width:
             raise DimensionError(
                 f"batch norm of width {self.width} got shape {features.shape}")
@@ -207,7 +207,7 @@ def channel_window_max(features):
     independently, so the op is point-permutation equivariant. Ties inside a
     window resolve to the leftmost channel.
     """
-    features = features if isinstance(features, Tensor) else Tensor(features)
+    features = as_tensor(features)
     x = features.data
     k = x.shape[-1]
     if k == 0:
@@ -271,7 +271,7 @@ class TNet(Ladder):
 
     def align(self, features, training=False):
         """Return (features @ predicted matrix, predicted matrix)."""
-        features = features if isinstance(features, Tensor) else Tensor(features)
+        features = as_tensor(features)
         if features.shape[-1] != self.k:
             raise DimensionError(
                 f"alignment network of width {self.k} got shape {features.shape}")
@@ -284,7 +284,7 @@ def orthogonality_regularizer(mat):
 
     For a batch of matrices the per-matrix penalties are averaged.
     """
-    mat = mat if isinstance(mat, Tensor) else Tensor(mat)
+    mat = as_tensor(mat)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionError(f"expected square matrices, got shape {mat.shape}")
     eye = Tensor(np.eye(mat.shape[-1], dtype=mat.dtype))

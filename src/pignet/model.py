@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, InputError
 from .seeding import INIT, make_rng
-from .tensor import (Tensor, concat, log_softmax, neg, no_grad, reduce_mean,
-                     relu, repeat_rows, reshape, take_per_row)
+from .tensor import (Tensor, as_tensor, concat, cross_entropy, no_grad, relu,
+                     repeat_rows, reshape)
 from .layers import (BatchNorm, Ladder, Module, PointwiseConv, TNet,
                      global_average_pool, max_over_points,
                      orthogonality_regularizer)
@@ -81,7 +81,7 @@ def config_hash(config):
 
 def _as_batch(points, dtype):
     """Validate a cloud or batch; return (a (B, n, 3) batch, was one cloud)."""
-    pts = points if isinstance(points, Tensor) else Tensor(np.asarray(points))
+    pts = as_tensor(points)
     if pts.dtype != dtype:
         pts = Tensor(pts.data.astype(dtype))
     if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
@@ -244,9 +244,9 @@ def segmentation_loss(logits, labels, feature_matrix=None, lambda_reg=0.0):
     """Mean cross entropy over points, plus the alignment regularizer.
 
     ``logits`` may be (n, P) or (B, n, P); labels follow with one part id per
-    point. Softmax is fused into the loss in log-sum-exp form.
+    point. The cross entropy is one ``cross_entropy`` graph node.
     """
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
+    logits = as_tensor(logits)
     num_parts = logits.shape[-1]
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     rows = int(np.prod(logits.shape[:-1], dtype=np.int64))
@@ -259,8 +259,7 @@ def segmentation_loss(logits, labels, feature_matrix=None, lambda_reg=0.0):
         i = int(bad[0])
         raise DataError(
             f"part label {int(labels[i])} at point {i} outside [0, {num_parts})")
-    picked = take_per_row(log_softmax(flat), labels)
-    loss = neg(reduce_mean(picked))
+    loss = cross_entropy(flat, labels)
     if feature_matrix is not None and lambda_reg > 0:
         loss = loss + lambda_reg * orthogonality_regularizer(feature_matrix)
     return loss

@@ -101,27 +101,15 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)
 
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
 
-    def max(self, axis):
-        return reduce_max(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-
-def as_tensor(x, dtype=None):
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _pair(a, b):
@@ -202,14 +190,6 @@ def mul(a, b):
                 _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
         out._backward_fn = rule
-    return out
-
-
-def neg(a):
-    a = as_tensor(a)
-    out = _record(-a.data, (a,), "neg")
-    if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, -g)
     return out
 
 
@@ -406,36 +386,32 @@ def repeat_rows(a, n):
     return out
 
 
-def take_per_row(a, indices):
-    """Pick one column per row of a rank-2 tensor: out[i] = a[i, indices[i]]."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"take_per_row expects a rank-2 tensor, got {a.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (a.shape[0],):
-        raise DimensionError(
-            f"index count {idx.shape} does not match row count {a.shape[0]}")
-    rows = np.arange(a.shape[0])
-    out = _record(a.data[rows, idx], (a,), "take_per_row")
+def cross_entropy(logits, labels):
+    """Mean over rows of -log(softmax(logits))[row, label], one node.
+
+    ``logits`` is (rows, P) and ``labels`` holds one column per row. The
+    softmax is taken in log-sum-exp form; the gradient is
+    (softmax - onehot) / rows.
+    """
+    x = as_tensor(logits)
+    labels = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or labels.shape != x.shape[:1]:
+        raise DimensionError("cross_entropy expects (rows, P) logits and one "
+                             f"label per row, got {x.shape} and {labels.shape}")
+    count = x.shape[0]
+    if count == 0:
+        raise DomainError("cannot average over an empty axis")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(count)
+    out = _record(-_accurate_mean(logp[rows, labels], (0,), count), (x,),
+                  "cross_entropy")
     if out._parents:
         def rule(g):
-            gx = np.zeros_like(a.data)
-            np.add.at(gx, (rows, idx), g)
-            _accumulate(a, gx)
-
-        out._backward_fn = rule
-    return out
-
-
-def log_softmax(a):
-    """log(softmax) along the last axis, computed in log-sum-exp form."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = _record(data, (a,), "log_softmax")
-    if out._parents:
-        def rule(g):
-            _accumulate(a, g - np.exp(data) * g.sum(axis=-1, keepdims=True))
+            s = -g / count
+            gx = np.zeros_like(logp)
+            gx[rows, labels] = s
+            _accumulate(x, gx - np.exp(logp) * s)
 
         out._backward_fn = rule
     return out

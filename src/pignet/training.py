@@ -271,14 +271,22 @@ def read_checkpoint(path):
         raise FormatError(f"{path} metadata is not valid JSON: {exc}")
     if not isinstance(meta, dict):
         raise FormatError(f"{path} metadata is not a JSON object")
+    # checked here, so a corrupt field fails before any model is touched
+    for key, nullable in (("tensor_count", False), ("epoch", False),
+                          ("adam_step_count", True)):
+        value = meta.get(key, 0)
+        if (type(value) is not int or value < 0) and not (
+                nullable and value is None):
+            raise FormatError(
+                f"{path} metadata has {key} {value!r}, not a count")
     tensor_count = meta.get("tensor_count", 0)
-    if type(tensor_count) is not int or tensor_count < 0:
-        raise FormatError(
-            f"{path} metadata has tensor_count {tensor_count!r}, not a count")
     arrays = {}
     for _ in range(tensor_count):
         (name_len,) = struct.unpack("<I", grab(4, "tensor name length"))
-        name = bytes(grab(name_len, "tensor name")).decode()
+        try:
+            name = bytes(grab(name_len, "tensor name")).decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path} holds a tensor name that is not UTF-8")
         (rank,) = struct.unpack("<I", grab(4, "tensor rank"))
         shape = struct.unpack(f"<{rank}Q", grab(8 * rank, "tensor extents"))
         count = 1
@@ -322,8 +330,8 @@ def _apply_checkpoint(meta, arrays, model, optimizer=None):
     for name, target in expected:
         target[...] = arrays[name]  # casts to the model's dtype in place
     if optimizer is not None and meta.get("adam_step_count") is not None:
-        optimizer.step_count = int(meta["adam_step_count"])
-    return int(meta.get("epoch", 0)), meta.get("rng_state")
+        optimizer.step_count = meta["adam_step_count"]
+    return meta.get("epoch", 0), meta.get("rng_state")
 
 
 def model_from_checkpoint(path):

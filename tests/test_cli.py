@@ -428,6 +428,19 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert err == f"error: {path}:{line}: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("victim", ["points/lamp_0001.pts", "test.txt"])
+    def test_directory_in_place_of_a_file_exits_1(self, tmp_path, capsys,
+                                                  victim):
+        root = synth(tmp_path, count=2)
+        path = root / "lamp" / victim
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        capsys.readouterr()
+        assert run(tiny_train_args(tmp_path, root)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture
 def parsed(monkeypatch):

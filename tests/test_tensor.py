@@ -3,10 +3,10 @@ import pytest
 
 from pignet.errors import DimensionError, DomainError, OracleError, UsageError
 from pignet.layers import channel_window_max
-from pignet.tensor import (Tensor, backward, concat, finite_diff_check,
-                           graph_order, log_softmax, matmul, no_grad,
+from pignet.tensor import (Tensor, backward, concat, cross_entropy,
+                           finite_diff_check, graph_order, matmul, no_grad,
                            reduce_max, reduce_mean, reduce_sum, relu,
-                           repeat_rows, reshape, take_per_row)
+                           repeat_rows, reshape)
 
 
 def t(data, grad=True):
@@ -212,7 +212,8 @@ class TestNoGradSkipsBackwardWork:
         relu,
         lambda x: reduce_max(x, axis=-2),
         channel_window_max,
-    ], ids=["relu", "reduce_max", "channel_window_max"])
+        lambda x: cross_entropy(reshape(x, (12, 5)), np.arange(12) % 5),
+    ], ids=["relu", "reduce_max", "channel_window_max", "cross_entropy"])
     def test_values_match_recording_pass(self, op):
         x = t(np.random.default_rng(30).normal(size=(2, 6, 5)))
         recorded = op(x)
@@ -333,19 +334,27 @@ class TestFiniteDiffCheck:
 
 
 class TestMiscOps:
-    def test_log_softmax_rows_sum_to_one(self):
+    def test_cross_entropy_matches_log_sum_exp(self):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(5, 4))
-        out = log_softmax(Tensor(x))
-        assert np.allclose(np.exp(out.data).sum(axis=1), 1.0)
+        x = 10.0 * rng.normal(size=(5, 4))
+        idx = np.array([3, 0, 1, 1, 2])
+        out = cross_entropy(Tensor(x), idx)
+        top = x.max(axis=1)
+        log_z = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+        assert np.isclose(out.item(), np.mean(log_z - x[np.arange(5), idx]),
+                          rtol=1e-12)
 
-    def test_log_softmax_gradient(self):
+    def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(19)
         x = t(rng.normal(size=(4, 3)))
         idx = np.array([0, 2, 1, 0])
-        err = finite_diff_check(
-            lambda: -reduce_mean(take_per_row(log_softmax(x), idx)), [x])
-        assert err < 1e-6
+        assert finite_diff_check(lambda: cross_entropy(x, idx), [x]) < 1e-6
+
+    def test_cross_entropy_rejects_mismatched_labels(self):
+        with pytest.raises(DimensionError):
+            cross_entropy(t(np.zeros((4, 3))), np.zeros(3, dtype=int))
+        with pytest.raises(DimensionError):
+            cross_entropy(t(np.zeros((2, 4, 3))), np.zeros(8, dtype=int))
 
     def test_repeat_rows_and_gradient(self):
         v = t([1.0, 2.0])
@@ -368,9 +377,9 @@ class TestMiscOps:
 
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(8, 5)))
+        x = Tensor(rng.normal(scale=100.0, size=(8, 5)))
         w = Tensor(rng.normal(size=(5, 4)))
-        out = log_softmax(relu(matmul(x, w)))
+        out = cross_entropy(relu(matmul(x, w)), np.arange(8) % 4)
         assert np.isfinite(out.data).all()
 
     def test_broadcast_bias_add_backward(self):

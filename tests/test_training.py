@@ -423,6 +423,32 @@ class TestCorruptMetadata:
         self.assert_rejected(read_checkpoint, checkpoint)
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
+    def assert_load_rejected_untouched(self, path):
+        model = build_model(tiny_model_config(), seed=1)
+        optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+        before = parameter_hash(model)
+        self.assert_rejected(
+            lambda p: load_checkpoint(p, model, optimizer), path)
+        assert parameter_hash(model) == before
+
+    @pytest.mark.parametrize("key, value", [
+        ("epoch", "three"), ("epoch", [3]), ("epoch", -1), ("epoch", None),
+        ("adam_step_count", "seven"), ("adam_step_count", [7]),
+        ("adam_step_count", 2.5), ("adam_step_count", -1),
+    ], ids=["epoch-word", "epoch-list", "epoch-negative", "epoch-null",
+            "step-word", "step-list", "step-float", "step-negative"])
+    def test_bad_count_field(self, checkpoint, key, value):
+        self.rewrite_meta(checkpoint, lambda meta: meta.update({key: value}))
+        self.assert_load_rejected_untouched(checkpoint)
+
+    def test_tensor_name_not_utf8(self, checkpoint):
+        blob = bytearray(checkpoint.read_bytes())
+        (length,) = struct.unpack("<I", blob[len(MAGIC):len(MAGIC) + 4])
+        blob[len(MAGIC) + 4 + length + 4] = 0xFF  # first byte of a name
+        checkpoint.write_bytes(bytes(blob))
+        self.assert_rejected(read_checkpoint, checkpoint)
+        self.assert_load_rejected_untouched(checkpoint)
+
 
 NAN, INF = float("nan"), float("inf")
 
