@@ -107,6 +107,75 @@ class TestForward:
         assert mat is None
 
 
+def _pointnet_config(**kwargs):
+    return ModelConfig(num_parts=5, arch="pointnet", tnet_conv_widths=(8, 16),
+                       tnet_fc_widths=(16,), head_widths=(16,),
+                       baseline_plan=(8, 8, 16, 16, 32), **kwargs)
+
+
+# (config, shapes captured for one 10-point cloud without the batch axis,
+# logits shape of that cloud); a None shape is a captured None
+SKELETON = [
+    (tiny_config(),
+     dict(aligned_input=(10, 3), input_matrix=(3, 3), local_features=(10, 48),
+          global_feature=(48,), combined=(10, 96), feature_matrix=(48, 48)),
+     (10, 3)),
+    (tiny_config(feature_reduce=8, use_gap=False),
+     dict(aligned_input=(10, 3), input_matrix=(3, 3), local_features=(10, 8),
+          global_feature=(8,), combined=(10, 16), feature_matrix=(8, 8)),
+     (10, 3)),
+    (tiny_config(feature_transform=False, use_inception=False),
+     dict(aligned_input=(10, 3), input_matrix=(3, 3), local_features=(10, 16),
+          global_feature=(16,), combined=(10, 32), feature_matrix=None),
+     (10, 3)),
+    (_pointnet_config(),
+     dict(aligned_input=(10, 3), input_matrix=(3, 3), local_features=(10, 16),
+          global_feature=(32,), combined=(10, 48)),
+     (10, 5)),
+    (_pointnet_config(baseline_local_index=0),
+     dict(aligned_input=(10, 3), input_matrix=(3, 3), local_features=(10, 8),
+          global_feature=(32,), combined=(10, 40)),
+     (10, 5)),
+]
+
+
+class TestSkeleton:
+    """What both networks promise around their shared build and head."""
+
+    def test_wrong_arch_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            PigNet(_pointnet_config())
+        assert str(err.value) == "PigNet cannot be built from arch 'pointnet'"
+        with pytest.raises(ConfigError) as err:
+            PointNetBaseline(tiny_config())
+        assert (str(err.value)
+                == "PointNetBaseline cannot be built from arch 'pignet'")
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("batch", [None, 2], ids=["single", "batch"])
+    @pytest.mark.parametrize("case", range(len(SKELETON)))
+    def test_capture_keys_and_shapes(self, case, batch, training):
+        config, per_cloud, logits_shape = SKELETON[case]
+        model = build_model(config, seed=0)
+        pts = (cloud(10) if batch is None
+               else np.stack([cloud(10, seed=i) for i in range(batch)]))
+        captured = {}
+        logits, mat = model.forward(pts, training=training, capture=captured)
+        lead = (1,) if batch is None else (batch,)
+        got = {k: None if v is None else v.shape for k, v in captured.items()}
+        assert got == {k: None if s is None else lead + s
+                       for k, s in per_cloud.items()}
+        # the returned tensors drop the batch axis of a single cloud
+        lead = () if batch is None else (batch,)
+        assert logits.shape == lead + logits_shape
+        feature_shape = per_cloud.get("feature_matrix")
+        if feature_shape is None:
+            assert mat is None
+        else:
+            assert mat.shape == lead + feature_shape
+        assert ("feature_matrix" in captured) == (config.arch == "pignet")
+
+
 class TestLoss:
     def test_uniform_logits_give_log_p(self):
         logits = Tensor(np.zeros((5, 4)))
