@@ -132,7 +132,7 @@ def _read_ini(path):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(utf8_lines(path), source=str(path))
-    except OSError as exc:
+    except FileNotFoundError as exc:
         raise FileNotFoundError(f"config file not found: {path}") from exc
     except ParseError as exc:  # bytes that are not UTF-8
         raise ConfigError(str(exc)) from exc
@@ -476,7 +476,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 1
-    except PignetError as exc:
+    except (PignetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

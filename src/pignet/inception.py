@@ -3,8 +3,8 @@
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import concat, relu
-from .layers import BatchNorm, Ladder, Module, PointwiseConv, channel_window_max
+from .tensor import concat
+from .layers import Ladder, Module, channel_window_max
 
 
 class InceptionLayer(Module):
@@ -21,21 +21,17 @@ class InceptionLayer(Module):
             raise ConfigError(f"inception filter count must be even, got {e}")
         self.c_in = c_in
         self.e = e
-        self.conv_a = PointwiseConv(c_in, e, rng, bias=False, dtype=dtype)
-        self.bn_a = BatchNorm(e, dtype=dtype)
-        self.conv_b = PointwiseConv(e, e // 2, rng, bias=False, dtype=dtype)
-        self.bn_b = BatchNorm(e // 2, dtype=dtype)
-        self.conv_c = PointwiseConv(e, e // 2, rng, bias=False, dtype=dtype)
-        self.bn_c = BatchNorm(e // 2, dtype=dtype)
-        self.conv_d = PointwiseConv(e, e, rng, bias=False, dtype=dtype)
-        self.bn_d = BatchNorm(e, dtype=dtype)
+        self._add_rung("_a", c_in, e, rng, dtype)
+        self._add_rung("_b", e, e // 2, rng, dtype)
+        self._add_rung("_c", e, e // 2, rng, dtype)
+        self._add_rung("_d", e, e, rng, dtype)
         self.out_channels = 3 * e
 
     def __call__(self, features, training=False):
-        entry = relu(self.bn_a(self.conv_a(features), training))
-        left = relu(self.bn_b(self.conv_b(entry), training))
-        right = relu(self.bn_c(self.conv_c(entry), training))
-        pooled = relu(self.bn_d(self.conv_d(channel_window_max(entry)), training))
+        entry = self._rung("_a", features, training)
+        left = self._rung("_b", entry, training)
+        right = self._rung("_c", entry, training)
+        pooled = self._rung("_d", channel_window_max(entry), training)
         return concat([entry, left, right, pooled], axis=-1)
 
 

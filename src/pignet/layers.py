@@ -45,6 +45,17 @@ class Module:
         return [value for name, value in vars(self).items()
                 if name.startswith(stem) and name[len(stem):].isdigit()]
 
+    def _add_rung(self, key, c_in, c_out, rng, dtype):
+        """Register rung ``key``: ``conv<key>`` (no bias), then ``bn<key>``."""
+        setattr(self, f"conv{key}",
+                PointwiseConv(c_in, c_out, rng, bias=False, dtype=dtype))
+        setattr(self, f"bn{key}", BatchNorm(c_out, dtype=dtype))
+
+    def _rung(self, key, features, training):
+        """The output of rung ``key`` for ``features``."""
+        conv, bn = getattr(self, f"conv{key}"), getattr(self, f"bn{key}")
+        return relu(bn(conv(features), training))
+
 
 class PointwiseConv(Module):
     """Shared linear map applied independently to every point.
@@ -105,9 +116,7 @@ class BatchNorm(Module):
             raise DimensionError(
                 f"batch norm of width {self.width} got shape {features.shape}")
         if training:
-            rows = 1
-            for extent in features.shape[:-1]:
-                rows *= extent
+            rows = math.prod(features.shape[:-1])
             if rows < 2:
                 raise DegenerateError(
                     f"cannot normalize a batch of {rows} value(s) per channel")
@@ -170,17 +179,16 @@ class Ladder(Module):
     def __init__(self, c_in, widths, rng, dtype=np.float64):
         width = c_in
         for i, w in enumerate(widths):
-            setattr(self, f"conv{i}",
-                    PointwiseConv(width, w, rng, bias=False, dtype=dtype))
-            setattr(self, f"bn{i}", BatchNorm(w, dtype=dtype))
+            self._add_rung(i, width, w, rng, dtype)
             width = w
+        self.rungs = len(widths)
         self.out_channels = width
 
     def outputs(self, features, training=False):
         """Every rung's output, first to last."""
         outs = []
-        for conv, bn in zip(self._numbered("conv"), self._numbered("bn")):
-            features = relu(bn(conv(features), training))
+        for i in range(self.rungs):
+            features = self._rung(i, features, training)
             outs.append(features)
         return outs
 
@@ -249,10 +257,9 @@ class TNet(Ladder):
         super().__init__(k, conv_widths, rng, dtype)
         width = self.out_channels
         for i, w in enumerate(fc_widths):
-            setattr(self, f"fc{i}",
-                    PointwiseConv(width, w, rng, bias=True, dtype=dtype))
+            setattr(self, f"fc{i}", PointwiseConv(width, w, rng, dtype=dtype))
             width = w
-        self.out = PointwiseConv(width, k * k, rng, bias=True, dtype=dtype)
+        self.out = PointwiseConv(width, k * k, rng, dtype=dtype)
         self.out.weight.data[:] = 0.0
         self.out.bias.data[:] = np.eye(k, dtype=dtype).reshape(-1)
 

@@ -8,17 +8,17 @@ with a shared head; no softmax is applied to the returned logits.
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, InputError
 from .seeding import INIT, make_rng
-from .tensor import (Tensor, as_tensor, concat, cross_entropy, no_grad, relu,
+from .tensor import (Tensor, as_tensor, concat, cross_entropy, no_grad,
                      repeat_rows, reshape)
-from .layers import (BatchNorm, Ladder, Module, PointwiseConv, TNet,
-                     global_average_pool, max_over_points,
-                     orthogonality_regularizer)
+from .layers import (Ladder, Module, PointwiseConv, TNet, global_average_pool,
+                     max_over_points, orthogonality_regularizer)
 from .inception import InceptionStack, PlainConvStack
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -45,14 +45,13 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        object.__setattr__(self, "inception_plan", tuple(self.inception_plan))
-        object.__setattr__(self, "head_widths", tuple(self.head_widths))
-        object.__setattr__(self, "tnet_conv_widths", tuple(self.tnet_conv_widths))
-        object.__setattr__(self, "tnet_fc_widths", tuple(self.tnet_fc_widths))
-        object.__setattr__(self, "baseline_plan", tuple(self.baseline_plan))
+        for name in ("inception_plan", "head_widths", "tnet_conv_widths",
+                     "tnet_fc_widths", "baseline_plan"):
+            object.__setattr__(self, name, tuple(
+                _integer(name, w) for w in getattr(self, name)))
         if self.arch not in ("pignet", "pointnet"):
             raise ConfigError(f"unknown arch {self.arch!r}")
-        if self.num_parts < 2:
+        if _integer("num_parts", self.num_parts) < 2:
             raise ConfigError(f"num_parts must be >= 2, got {self.num_parts}")
         if not 0 <= self.lambda_reg < np.inf:
             raise ConfigError(
@@ -64,13 +63,22 @@ class ModelConfig:
                   *self.tnet_fc_widths, *self.baseline_plan):
             if w < 1:
                 raise ConfigError(f"layer widths must be positive, got {w}")
-        if self.feature_reduce is not None and self.feature_reduce < 1:
+        if (self.feature_reduce is not None
+                and _integer("feature_reduce", self.feature_reduce) < 1):
             raise ConfigError(
                 f"feature_reduce must be positive, got {self.feature_reduce}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
-        if not 0 <= self.baseline_local_index < len(self.baseline_plan):
+        index = _integer("baseline_local_index", self.baseline_local_index)
+        if not 0 <= index < len(self.baseline_plan):
             raise ConfigError("baseline_local_index outside the conv plan")
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def config_hash(config):
@@ -96,17 +104,39 @@ def _as_batch(points, dtype):
 
 
 class _HeadMixin(Module):
-    """Shared per-point classification head: a ladder, then a plain affine."""
+    """Both networks: an input T-Net, the features that the subclass for
+    ``arch`` builds in ``_build_features(rng)``, which returns the head's
+    input width, and a per-point head of a ladder, then an affine."""
 
-    def _build_head(self, width, rng, dtype):
-        self.head = Ladder(width, self.config.head_widths, rng, dtype)
+    def __init__(self, config, seed=0):
+        if config.arch != self.arch:
+            raise ConfigError(f"{type(self).__name__} cannot be built from "
+                              f"arch {config.arch!r}")
+        self.config = config
+        dtype = self.dtype = DTYPES[config.dtype]
+        rng = None if seed is None else make_rng(seed, INIT)
+        self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
+                               config.tnet_fc_widths, dtype=dtype)
+        width = self._build_features(rng)
+        self.head = Ladder(width, config.head_widths, rng, dtype)
         self.head.out = PointwiseConv(self.head.out_channels,
-                                      self.config.num_parts, rng, bias=True,
-                                      dtype=dtype)
+                                      config.num_parts, rng, dtype=dtype)
 
     @property
     def head_out(self):
         return self.head.out
+
+    def _classify(self, local, pooled, single, training, capture, **captured):
+        """Per-point head logits of the local beside the global features."""
+        n = local.shape[1]
+        combined = concat([local, repeat_rows(pooled, n)], axis=-1)
+        logits = self.head_out(self.head(combined, training))
+        if capture is not None:
+            capture.update(captured, local_features=local,
+                           global_feature=pooled, combined=combined)
+        if single:
+            logits = reshape(logits, (n, self.config.num_parts))
+        return logits
 
     def predict(self, points):
         """Per-point part ids (eval mode); ties go to the lower part id."""
@@ -119,33 +149,23 @@ class PigNet(_HeadMixin):
     """Input alignment, inception feature stack, feature alignment, global
     pooling, local/global concatenation, per-point head."""
 
-    def __init__(self, config, seed=0):
-        if config.arch != "pignet":
-            raise ConfigError(f"PigNet cannot be built from arch {config.arch!r}")
-        self.config = config
-        dtype = DTYPES[config.dtype]
-        self.dtype = dtype
-        rng = _init_rng(seed)
-        self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
-                               config.tnet_fc_widths, dtype=dtype)
-        if config.use_inception:
-            self.stack = InceptionStack(config.inception_plan, rng, dtype=dtype)
-        else:
-            self.stack = PlainConvStack(config.inception_plan, rng, dtype=dtype)
+    arch = "pignet"
+
+    def _build_features(self, rng):
+        config, dtype = self.config, self.dtype
+        stack = InceptionStack if config.use_inception else PlainConvStack
+        self.stack = stack(config.inception_plan, rng, dtype=dtype)
         width = self.stack.out_channels
         self.reduce = None
         if config.feature_reduce is not None:
             self.reduce = Module()
-            self.reduce.conv = PointwiseConv(width, config.feature_reduce, rng,
-                                             bias=False, dtype=dtype)
-            self.reduce.bn = BatchNorm(config.feature_reduce, dtype=dtype)
+            self.reduce._add_rung("", width, config.feature_reduce, rng, dtype)
             width = config.feature_reduce
-        self.feature_width = width
         self.feature_tnet = None
         if config.feature_transform:
             self.feature_tnet = TNet(width, rng, config.tnet_conv_widths,
                                      config.tnet_fc_widths, dtype=dtype)
-        self._build_head(2 * width, rng, dtype)
+        return 2 * width
 
     def forward(self, points, training=False, capture=None):
         """Run the network; returns (logits, feature transform matrix).
@@ -154,32 +174,21 @@ class PigNet(_HeadMixin):
         dict as ``capture`` to receive intermediate tensors.
         """
         x, single = _as_batch(points, self.dtype)
-        n = x.shape[1]
-
-        aligned_in, input_mat = self.input_tnet.align(x, training)
-        feats = self.stack(aligned_in, training)
+        aligned, input_mat = self.input_tnet.align(x, training)
+        feats = self.stack(aligned, training)
         if self.reduce is not None:
-            feats = relu(self.reduce.bn(self.reduce.conv(feats), training))
+            feats = self.reduce._rung("", feats, training)
         if self.feature_tnet is not None:
             local, feature_mat = self.feature_tnet.align(feats, training)
         else:
             local, feature_mat = feats, None
-        if self.config.use_gap:
-            pooled = global_average_pool(local)
-        else:
-            pooled = max_over_points(local)
-        combined = concat([local, repeat_rows(pooled, n)], axis=-1)
-        logits = self.head_out(self.head(combined, training))
-
-        if capture is not None:
-            capture.update(aligned_input=aligned_in, input_matrix=input_mat,
-                           local_features=local, global_feature=pooled,
-                           combined=combined, feature_matrix=feature_mat)
-        if single:
-            logits = reshape(logits, (n, self.config.num_parts))
-            if feature_mat is not None:
-                k = self.feature_width
-                feature_mat = reshape(feature_mat, (k, k))
+        pool = global_average_pool if self.config.use_gap else max_over_points
+        pooled = pool(local)
+        logits = self._classify(local, pooled, single, training, capture,
+                                aligned_input=aligned, input_matrix=input_mat,
+                                feature_matrix=feature_mat)
+        if single and feature_mat is not None:
+            feature_mat = reshape(feature_mat, feature_mat.shape[1:])
         return logits, feature_mat
 
 
@@ -191,53 +200,30 @@ class PointNetBaseline(_HeadMixin):
     the same head/loss machinery as PigNet. No feature transform.
     """
 
-    def __init__(self, config, seed=0):
-        if config.arch != "pointnet":
-            raise ConfigError(
-                f"PointNetBaseline cannot be built from arch {config.arch!r}")
-        self.config = config
-        dtype = DTYPES[config.dtype]
-        self.dtype = dtype
-        rng = _init_rng(seed)
-        self.input_tnet = TNet(3, rng, config.tnet_conv_widths,
-                               config.tnet_fc_widths, dtype=dtype)
-        self.convs = Ladder(3, config.baseline_plan, rng, dtype)
-        plan = config.baseline_plan
-        self._build_head(plan[config.baseline_local_index] + plan[-1], rng,
-                         dtype)
+    arch = "pointnet"
+
+    def _build_features(self, rng):
+        plan = self.config.baseline_plan
+        self.convs = Ladder(3, plan, rng, self.dtype)
+        return plan[self.config.baseline_local_index] + plan[-1]
 
     def forward(self, points, training=False, capture=None):
         x, single = _as_batch(points, self.dtype)
-        n = x.shape[1]
-
         aligned, input_mat = self.input_tnet.align(x, training)
         rungs = self.convs.outputs(aligned, training)
         local = rungs[self.config.baseline_local_index]
         pooled = max_over_points(rungs[-1])
-        combined = concat([local, repeat_rows(pooled, n)], axis=-1)
-        logits = self.head_out(self.head(combined, training))
-
-        if capture is not None:
-            capture.update(aligned_input=aligned, input_matrix=input_mat,
-                           local_features=local, global_feature=pooled,
-                           combined=combined)
-        if single:
-            logits = reshape(logits, (n, self.config.num_parts))
+        logits = self._classify(local, pooled, single, training, capture,
+                                aligned_input=aligned, input_matrix=input_mat)
         return logits, None
-
-
-def _init_rng(seed):
-    """The generator of the initial weights; None draws none (all zero)."""
-    return None if seed is None else make_rng(seed, INIT)
 
 
 def build_model(config, seed=0):
     """Build the network ``config`` describes, its weights drawn from
     ``seed``; ``seed=None`` draws no weights, for a model whose parameters
     are about to be overwritten, as from a checkpoint."""
-    if config.arch == "pignet":
-        return PigNet(config, seed)
-    return PointNetBaseline(config, seed)
+    network = PigNet if config.arch == "pignet" else PointNetBaseline
+    return network(config, seed)
 
 
 def segmentation_loss(logits, labels, feature_matrix=None, lambda_reg=0.0):
@@ -270,20 +256,20 @@ def count_parameters(model):
     return int(sum(p.data.size for _, p in model.named_parameters()))
 
 
-def _conv_count(c_in, c_out, bias):
-    return c_in * c_out + (c_out if bias else 0)
+def _rungs(width, widths):
+    """(parameter count, output width) of rungs from ``width`` on."""
+    count = 0
+    for w in widths:
+        count += width * w + 2 * w
+        width = w
+    return count, width
 
 
-def _tnet_count(k, conv_widths, fc_widths):
-    total = 0
-    width = k
-    for w in conv_widths:
-        total += _conv_count(width, w, bias=False) + 2 * w
+def _tnet_count(k, config):
+    total, width = _rungs(k, config.tnet_conv_widths)
+    for w in (*config.tnet_fc_widths, k * k):  # affine layers with a bias
+        total += width * w + w
         width = w
-    for w in fc_widths:
-        total += _conv_count(width, w, bias=True)
-        width = w
-    total += _conv_count(width, k * k, bias=True)
     return total
 
 
@@ -294,34 +280,27 @@ def parameter_count(config):
     full-scale budget (whose feature-alignment block is too large to allocate
     for a mere count).
     """
-    total = _tnet_count(3, config.tnet_conv_widths, config.tnet_fc_widths)
+    total = _tnet_count(3, config)
     if config.arch == "pointnet":
-        width = 3
-        for w in config.baseline_plan:
-            total += _conv_count(width, w, bias=False) + 2 * w
-            width = w
+        count, width = _rungs(3, config.baseline_plan)
+        total += count
         head_in = config.baseline_plan[config.baseline_local_index] + width
     else:
         width = 3
         for e in config.inception_plan:
             if config.use_inception:
-                total += _conv_count(width, e, bias=False) + 2 * e
-                total += 2 * (_conv_count(e, e // 2, bias=False) + e)
-                total += _conv_count(e, e, bias=False) + 2 * e
+                # the entry rung, then three branches that read its e
+                # channels and write e/2 + e/2 + e = 2e between them
+                count, _ = _rungs(width, (e, 2 * e))
                 width = 3 * e
             else:
-                total += _conv_count(width, e, bias=False) + 2 * e
-                width = e
+                count, width = _rungs(width, (e,))
+            total += count
         if config.feature_reduce is not None:
-            total += _conv_count(width, config.feature_reduce, bias=False)
-            total += 2 * config.feature_reduce
-            width = config.feature_reduce
+            count, width = _rungs(width, (config.feature_reduce,))
+            total += count
         if config.feature_transform:
-            total += _tnet_count(width, config.tnet_conv_widths,
-                                 config.tnet_fc_widths)
+            total += _tnet_count(width, config)
         head_in = 2 * width
-    for w in config.head_widths:
-        total += _conv_count(head_in, w, bias=False) + 2 * w
-        head_in = w
-    total += _conv_count(head_in, config.num_parts, bias=True)
-    return total
+    count, width = _rungs(head_in, config.head_widths)
+    return total + count + (width + 1) * config.num_parts

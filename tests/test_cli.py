@@ -442,6 +442,31 @@ class TestTrainEvalPredict:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "train", "inspect"])
+def test_unusable_path_exits_1(tmp_path, capsys, lamp_root, command):
+    """A directory given as the checkpoint or the config file, or a file as
+    the output directory, ends in one error line naming it."""
+    path = tmp_path / "in-the-way"
+    if command == "eval":
+        path.mkdir()
+        argv = ["eval", "--config", tiny_config_file(tmp_path), "--data-root",
+                lamp_root, "--category", "lamp", "--split", "train",
+                "--checkpoint", path, "--out", tmp_path / "runs",
+                "--points", "24"]
+    elif command == "train":
+        path = tmp_path / "runs"
+        path.write_text("")
+        argv = tiny_train_args(tmp_path, lamp_root)
+    else:
+        path.mkdir()
+        argv = ["inspect", "--config", path]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The points path of every ``load_cloud`` call, in call order."""

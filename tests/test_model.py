@@ -306,7 +306,11 @@ class TestParameterCounts:
         assert sum(p.data.size for _, p in conv.named_parameters()) == 16
 
     def test_closed_form_matches_construction(self):
-        for config in construction_configs():
+        for config in construction_configs() + [
+                tiny_config(use_inception=False, feature_reduce=8),
+                tiny_config(feature_transform=False, use_gap=False,
+                            feature_reduce=8),
+                _pointnet_config(baseline_local_index=0)]:
             model = build_model(config, seed=0)
             assert count_parameters(model) == parameter_count(config)
 
@@ -347,6 +351,9 @@ class TestConfig:
             ModelConfig(num_parts=3, dtype="float16")
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, arch="transformer")
+        with pytest.raises(ConfigError,
+                           match="head_widths must be an integer, got 4.5"):
+            ModelConfig(num_parts=3, head_widths=(4.5,))
 
     def test_hash_distinguishes_configs(self):
         a = config_hash(tiny_config())

@@ -408,6 +408,16 @@ class TestCorruptMetadata:
             lambda meta: meta["config"].update(inception_plan="4,8"))
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
+    @pytest.mark.parametrize("key, value", [("num_parts", 3.5),
+                                            ("inception_plan", [4.0, 8.0])])
+    def test_non_integer_size(self, checkpoint, key, value):
+        self.rewrite_meta(checkpoint,
+                          lambda meta: meta["config"].update({key: value}))
+        with pytest.raises(FormatError) as err:
+            model_from_checkpoint(checkpoint)
+        assert str(checkpoint) in str(err.value)
+        assert key in str(err.value)
+
     @pytest.mark.parametrize("meta_bytes", [b"[1, 2]", b'{"a": "\xff"}'],
                              ids=["not_an_object", "not_utf8"])
     def test_unreadable_metadata(self, tmp_path, meta_bytes):
