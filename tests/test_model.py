@@ -253,6 +253,53 @@ def test_loss_and_gradient_golden(dtype):
     assert got == LOSS_GOLDEN[dtype]
 
 
+def _gradient_configs(dtype):
+    return {
+        "inception-reduce-tnet": tiny_config(feature_reduce=8, dtype=dtype),
+        "no-inception-no-gap": tiny_config(use_inception=False, use_gap=False,
+                                           dtype=dtype),
+        "pointnet": _pointnet_config(dtype=dtype),
+    }
+
+
+# SHA-256 over each parameter's name and .grad bytes, in named_parameters
+# order, after one train-mode backward of the loss with the regularizer on
+PARAMETER_GRADIENT_GOLDEN = {
+    ("inception-reduce-tnet", "float32"):
+        "69eba80871db6e423c31bd998ed71c0d00cf99fc5c733c7171ea1b7bb2543989",
+    ("inception-reduce-tnet", "float64"):
+        "dc3d88af86e0234bdd1af65eda49228ef423785c6cc3f60b423fbeb63384e2ca",
+    ("no-inception-no-gap", "float32"):
+        "11b1e3d3be4b2d677c2d2b6c2e6ec9a8c643e537a89528b7d9d5cc8c602fee30",
+    ("no-inception-no-gap", "float64"):
+        "0b184a9933e47709438b333fc64af65c9aa35d4afabbfa043b103023ecccba87",
+    ("pointnet", "float32"):
+        "ed9152fd21230861cca7fd925a6c7ae85d7e3fbe19fab4843913ec99517ceb7c",
+    ("pointnet", "float64"):
+        "882158ea02c6a511ee880397cfa61f5b64df4ca82b4925fb73618d064ed6e185",
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["inception-reduce-tnet",
+                                  "no-inception-no-gap", "pointnet"])
+def test_parameter_gradient_golden(name, dtype):
+    config = _gradient_configs(dtype)[name]
+    assert config.lambda_reg > 0
+    model = build_model(config, seed=0)
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(2, 24, 3)).astype(dtype)
+    labels = rng.integers(0, config.num_parts, size=(2, 24))
+    logits, mat = model.forward(batch, training=True)
+    backward(segmentation_loss(logits, labels, mat, config.lambda_reg))
+    digest = hashlib.sha256()
+    for pname, p in model.named_parameters():
+        assert p.grad is not None and p.grad.dtype == dtype, pname
+        digest.update(pname.encode())
+        digest.update(np.ascontiguousarray(p.grad).tobytes())
+    assert digest.hexdigest() == PARAMETER_GRADIENT_GOLDEN[name, dtype]
+
+
 class TestPredict:
     def test_argmax(self):
         model = PigNet(tiny_config(), seed=12)
