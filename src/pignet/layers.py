@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .tensor import (Tensor, _accumulate, _accurate_mean, _accurate_sum,
-                     _record, as_tensor, matmul, reduce_max, reduce_mean, relu,
-                     reshape, transpose_last2, reduce_sum)
+from .tensor import (Tensor, _accurate_mean, _accurate_sum, _record,
+                     as_tensor, matmul, reduce_max, reduce_mean, relu, reshape,
+                     transpose_last2, reduce_sum)
 
 
 class Module:
@@ -148,18 +148,13 @@ class BatchNorm(Module):
                 g_xhat = g * xhat
                 sum_g = _accurate_sum(g, axes)
                 sum_gx = _accurate_sum(g_xhat, axes)
-                if beta.requires_grad:
-                    _accumulate(beta, sum_g)
-                if gamma.requires_grad:
-                    _accumulate(gamma, sum_gx)
-                if features.requires_grad:
-                    # dx = gamma * inv * (g - sum(g) / N - xhat * sum(g * xhat) / N),
-                    # built in the buffer of g * xhat
-                    dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
-                    dx += g
-                    dx -= sum_g / rows
-                    dx *= gamma.data * inv
-                    _accumulate(features, dx)
+                # dx = gamma * inv * (g - sum(g) / N - xhat * sum(g * xhat) / N),
+                # built in the buffer of g * xhat
+                dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
+                dx += g
+                dx -= sum_g / rows
+                dx *= gamma.data * inv
+                return dx, sum_gx, sum_g
 
             out._backward_fn = rule
         return out
@@ -235,7 +230,7 @@ def channel_window_max(features):
             flat_gx = gx.reshape(-1, k)
             rows = np.arange(flat_gx.shape[0])[:, None]
             np.add.at(flat_gx, (rows, src.reshape(-1, k)), g.reshape(-1, k))
-            _accumulate(features, gx)
+            return (gx,)
 
         out._backward_fn = rule
     return out

@@ -47,8 +47,17 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("inception_plan", "head_widths", "tnet_conv_widths",
                      "tnet_fc_widths", "baseline_plan"):
-            object.__setattr__(self, name, tuple(
-                _integer(name, w) for w in getattr(self, name)))
+            widths = getattr(self, name)
+            try:
+                widths = tuple(_integer(name, w) for w in widths)
+            except TypeError:
+                raise ConfigError(f"{name} must be a sequence of integers, "
+                                  f"got {widths!r}") from None
+            object.__setattr__(self, name, widths)
+        for name in ("use_inception", "use_gap", "feature_transform"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, "
+                                  f"got {getattr(self, name)!r}")
         if self.arch not in ("pignet", "pointnet"):
             raise ConfigError(f"unknown arch {self.arch!r}")
         if _integer("num_parts", self.num_parts) < 2:
@@ -56,6 +65,8 @@ class ModelConfig:
         if not 0 <= self.lambda_reg < np.inf:
             raise ConfigError(
                 f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
+        if not self.inception_plan:
+            raise ConfigError("inception_plan must not be empty")
         for e in self.inception_plan:
             if e < 2 or e % 2:
                 raise ConfigError(f"inception filter counts must be even, got {e}")

@@ -1,10 +1,13 @@
 """Dense real tensors with a minimal reverse-mode differentiation core.
 
-The graph is define-by-run: each operation stores its input tensors and a
-backward rule on its output, and ``backward()`` replays the recording once
-in reverse topological order. Arrays are numpy underneath; float64 is the
-default so gradient checks stay meaningful, float32 is accepted for faster
-training runs.
+The graph is define-by-run: each operation stores its input tensors in
+``_parents`` and a backward rule on its output, and ``backward()`` replays
+the recording once in reverse topological order. A rule maps the output's
+gradient to one gradient per parent, in ``_parents`` order, each shaped
+like that parent; ``backward()`` alone adds them into the parents that
+require a gradient. Arrays are numpy underneath; float64 is the default so
+gradient checks stay meaningful, float32 is accepted for faster training
+runs.
 """
 
 import threading
@@ -155,13 +158,8 @@ def add(a, b):
     a, b = _pair(a, b)
     out = _record(a.data + b.data, (a, b), "add")
     if out._parents:
-        def rule(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b.data.shape))
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: (_unbroadcast(g, a.shape),
+                                      _unbroadcast(g, b.shape))
     return out
 
 
@@ -169,13 +167,8 @@ def sub(a, b):
     a, b = _pair(a, b)
     out = _record(a.data - b.data, (a, b), "sub")
     if out._parents:
-        def rule(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: (_unbroadcast(g, a.shape),
+                                      _unbroadcast(-g, b.shape))
     return out
 
 
@@ -183,13 +176,8 @@ def mul(a, b):
     a, b = _pair(a, b)
     out = _record(a.data * b.data, (a, b), "mul")
     if out._parents:
-        def rule(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: (_unbroadcast(g * b.data, a.shape),
+                                      _unbroadcast(g * a.data, b.shape))
     return out
 
 
@@ -214,14 +202,11 @@ def matmul(a, b):
     out = _record(a.data @ b.data, (a, b), "matmul")
     if out._parents:
         def rule(g):
-            if a.requires_grad:
-                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                if b.ndim == 2 and a.ndim == 3:
-                    gb = np.tensordot(a.data, g, axes=((0, 1), (0, 1)))
-                else:
-                    gb = np.swapaxes(a.data, -1, -2) @ g
-                _accumulate(b, gb)
+            if b.ndim == 2 and a.ndim == 3:
+                gb = np.tensordot(a.data, g, axes=((0, 1), (0, 1)))
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+            return g @ np.swapaxes(b.data, -1, -2), gb
 
         out._backward_fn = rule
     return out
@@ -237,7 +222,7 @@ def relu(a):
     out = _record(np.maximum(a.data, 0), (a,), "relu")
     if out._parents:
         mask = a.data > 0
-        out._backward_fn = lambda g: _accumulate(a, g * mask)
+        out._backward_fn = lambda g: (g * mask,)
     return out
 
 
@@ -270,11 +255,8 @@ def reduce_sum(a, axis=None):
     out = _record(_accurate_sum(a.data, axes), (a,), "sum")
     if out._parents:
         kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
-
-        def rule(g):
-            _accumulate(a, np.broadcast_to(g.reshape(kept), a.shape))
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: (
+            np.broadcast_to(g.reshape(kept), a.shape),)
     return out
 
 
@@ -290,11 +272,8 @@ def reduce_mean(a, axis=None):
     out = _record(_accurate_mean(a.data, axes, count), (a,), "mean")
     if out._parents:
         kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
-
-        def rule(g):
-            _accumulate(a, np.broadcast_to(g.reshape(kept), a.shape) / count)
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: (
+            np.broadcast_to(g.reshape(kept), a.shape) / count,)
     return out
 
 
@@ -321,7 +300,7 @@ def reduce_max(a, axis):
             gx = np.zeros_like(a.data)
             np.put_along_axis(gx, np.expand_dims(idx, axis),
                               np.expand_dims(g, axis), axis)
-            _accumulate(a, gx)
+            return (gx,)
 
         out._backward_fn = rule
     return out
@@ -345,13 +324,7 @@ def concat(tensors, axis=-1):
                   tuple(tensors), "concat")
     if out._parents:
         offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-        def rule(g):
-            for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-                if t.requires_grad:
-                    _accumulate(t, piece)
-
-        out._backward_fn = rule
+        out._backward_fn = lambda g: np.split(g, offsets, axis=axis)
     return out
 
 
@@ -362,7 +335,7 @@ def reshape(a, shape):
         raise DimensionError(f"cannot reshape {a.shape} into {shape}")
     out = _record(a.data.reshape(shape), (a,), "reshape")
     if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, g.reshape(a.shape))
+        out._backward_fn = lambda g: (g.reshape(a.shape),)
     return out
 
 
@@ -372,7 +345,7 @@ def transpose_last2(a):
         raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
     out = _record(np.swapaxes(a.data, -1, -2), (a,), "transpose")
     if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, np.swapaxes(g, -1, -2))
+        out._backward_fn = lambda g: (np.swapaxes(g, -1, -2),)
     return out
 
 
@@ -382,7 +355,7 @@ def repeat_rows(a, n):
     out = _record(np.repeat(np.expand_dims(a.data, -2), n, axis=-2), (a,),
                   "repeat_rows")
     if out._parents:
-        out._backward_fn = lambda g: _accumulate(a, g.sum(axis=-2))
+        out._backward_fn = lambda g: (g.sum(axis=-2),)
     return out
 
 
@@ -411,7 +384,7 @@ def cross_entropy(logits, labels):
             s = -g / count
             gx = np.zeros_like(logp)
             gx[rows, labels] = s
-            _accumulate(x, gx - np.exp(logp) * s)
+            return (gx - np.exp(logp) * s,)
 
         out._backward_fn = rule
     return out
@@ -456,7 +429,10 @@ def backward(root):
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward_fn is not None:
-            node._backward_fn(node.grad)
+            grads = node._backward_fn(node.grad)
+            for parent, g in zip(node._parents, grads):
+                if parent.requires_grad:
+                    _accumulate(parent, g)
 
 
 def finite_diff_check(f, params, h=1e-4):

@@ -218,6 +218,7 @@ def tiny_train_args(tmp_path, root, extra_ini=""):
      "[augment] jitter_sigma: must be finite, got 'nan'"),
     (["train"], "[augment]\nscale_range = 0.5,1e999\n",
      "[augment] scale_range: must be finite, got '0.5,1e999'"),
+    (["train", "--plan", ""], "", "inception_plan must not be empty"),
     (["synth", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
     (["synth", "--count", "0"], None, "--count must be >= 1, got 0"),
     (["synth", "--cloud-points", "0"], None,
@@ -227,7 +228,7 @@ def tiny_train_args(tmp_path, root, extra_ini=""):
      "--test-count must be >= 0, got -1"),
     (["synth", "--shapes", " , "], None, "--shapes names no shape, got ' , '"),
 ], ids=["seed", "one-scale", "no-scale", "translate-order", "nan-rate",
-        "inf-rate-flag", "inf-lambda", "nan-jitter", "inf-scale",
+        "inf-rate-flag", "inf-lambda", "nan-jitter", "inf-scale", "empty-plan",
         "synth-seed", "synth-count", "synth-points", "synth-val",
         "synth-test", "synth-no-shapes"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, lamp_root,

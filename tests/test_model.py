@@ -401,6 +401,16 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match="head_widths must be an integer, got 4.5"):
             ModelConfig(num_parts=3, head_widths=(4.5,))
+        with pytest.raises(ConfigError, match="head_widths must be a sequence"):
+            ModelConfig(num_parts=3, head_widths=5)
+        with pytest.raises(ConfigError,
+                           match="inception_plan must not be empty"):
+            ModelConfig(num_parts=3, inception_plan=())
+        for name, value in (("use_inception", "false"), ("use_gap", None),
+                            ("feature_transform", 0.0)):
+            with pytest.raises(ConfigError,
+                               match=f"{name} must be true or false"):
+                ModelConfig(num_parts=3, **{name: value})
 
     def test_hash_distinguishes_configs(self):
         a = config_hash(tiny_config())

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pignet.errors import DimensionError, DomainError, OracleError, UsageError
-from pignet.layers import channel_window_max
+from pignet.layers import BatchNorm, channel_window_max
 from pignet.tensor import (Tensor, backward, concat, cross_entropy,
                            finite_diff_check, graph_order, matmul, no_grad,
                            reduce_max, reduce_mean, reduce_sum, relu,
-                           repeat_rows, reshape)
+                           repeat_rows, reshape, transpose_last2)
 
 
 def t(data, grad=True):
@@ -222,6 +222,55 @@ class TestNoGradSkipsBackwardWork:
         assert recorded._parents and not plain._parents
         assert plain._backward_fn is None and not plain.requires_grad
         assert plain.data.tobytes() == recorded.data.tobytes()
+
+
+def _batch_norm(x, gamma, beta):
+    bn = BatchNorm(x.shape[-1])
+    bn.gamma, bn.beta = gamma, beta
+    return bn(x, training=True)
+
+
+# every recording op and both custom nodes: (function, operand shapes)
+RULE_CASES = {
+    "add": (lambda a, b: a + b, [(2, 6, 5), (5,)]),
+    "sub": (lambda a, b: a - b, [(2, 6, 5), (6, 5)]),
+    "mul": (lambda a, b: a * b, [(2, 6, 5), (1, 5)]),
+    "matmul": (matmul, [(6, 5), (5, 3)]),
+    "matmul_batched": (matmul, [(2, 6, 5), (2, 5, 3)]),
+    "matmul_shared_weight": (matmul, [(2, 6, 5), (5, 3)]),
+    "relu": (relu, [(2, 6, 5)]),
+    "sum": (lambda a: reduce_sum(a, axis=(0, 2)), [(2, 6, 5)]),
+    "mean": (lambda a: reduce_mean(a, axis=1), [(2, 6, 5)]),
+    "max": (lambda a: reduce_max(a, axis=-2), [(2, 6, 5)]),
+    "concat": (lambda *ts: concat(ts, axis=1), [(2, 6, 5), (2, 1, 5),
+                                                (2, 3, 5)]),
+    "reshape": (lambda a: reshape(a, (12, 5)), [(2, 6, 5)]),
+    "transpose": (transpose_last2, [(2, 6, 5)]),
+    "repeat_rows": (lambda a: repeat_rows(a, 4), [(2, 5)]),
+    "cross_entropy": (lambda a: cross_entropy(a, np.arange(12) % 5),
+                      [(12, 5)]),
+    "batch_norm": (_batch_norm, [(2, 6, 5), (5,), (5,)]),
+    "channel_window_max": (channel_window_max, [(2, 6, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_CASES))
+def test_rule_returns_one_gradient_per_parent(name):
+    fn, shapes = RULE_CASES[name]
+    rng = np.random.default_rng(31)
+    operands = [t(rng.normal(size=s)) for s in shapes]
+    out = fn(*operands)
+    assert out._parents == tuple(operands)
+    grads = out._backward_fn(np.asarray(rng.normal(size=out.shape)))
+    assert len(grads) == len(operands)
+    for g, operand in zip(grads, operands):
+        assert isinstance(g, np.ndarray) and g.shape == operand.shape
+    if len(operands) > 1:
+        # the rule still returns the constant's gradient; backward drops it
+        operands[-1] = t(operands[-1].data, grad=False)
+        backward(reduce_sum(fn(*operands)))
+        assert operands[-1].grad is None
+        assert operands[0].grad.shape == shapes[0]
 
 
 class TestBackward:

@@ -408,8 +408,14 @@ class TestCorruptMetadata:
             lambda meta: meta["config"].update(inception_plan="4,8"))
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
+    # the last four are a non-bool switch, non-iterable widths and an
+    # empty plan
     @pytest.mark.parametrize("key, value", [("num_parts", 3.5),
-                                            ("inception_plan", [4.0, 8.0])])
+                                            ("inception_plan", [4.0, 8.0]),
+                                            ("use_gap", "false"),
+                                            ("use_inception", 0),
+                                            ("head_widths", 5),
+                                            ("inception_plan", [])])
     def test_non_integer_size(self, checkpoint, key, value):
         self.rewrite_meta(checkpoint,
                           lambda meta: meta["config"].update({key: value}))
