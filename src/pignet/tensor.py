@@ -433,6 +433,7 @@ def backward(root):
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     _accumulate(parent, g)
+            del grads, g  # freed now, not held while the next rule runs
 
 
 def finite_diff_check(f, params, h=1e-4):

@@ -408,8 +408,7 @@ class TestCorruptMetadata:
             lambda meta: meta["config"].update(inception_plan="4,8"))
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
-    # the last four are a non-bool switch, non-iterable widths and an
-    # empty plan
+    # the last four: two non-bool switches, non-iterable widths, an empty plan
     @pytest.mark.parametrize("key, value", [("num_parts", 3.5),
                                             ("inception_plan", [4.0, 8.0]),
                                             ("use_gap", "false"),
