@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
 from .tensor import (Tensor, _accurate_mean, _accurate_sum, _record,
-                     as_tensor, matmul, reduce_max, reduce_mean, relu, reshape,
-                     transpose_last2, reduce_sum)
+                     as_tensor, matmul, recording, reduce_max, reduce_mean,
+                     relu, reshape, transpose_last2, reduce_sum)
 
 
 class Module:
@@ -52,9 +52,28 @@ class Module:
         setattr(self, f"bn{key}", BatchNorm(c_out, dtype=dtype))
 
     def _rung(self, key, features, training):
-        """The output of rung ``key`` for ``features``."""
+        """``relu(bn(conv(features), training))`` for rung ``key``, run as
+        one unit: one fused node in training; under ``no_grad`` in eval mode,
+        the affine and ReLU in place on the conv's fresh output."""
         conv, bn = getattr(self, f"conv{key}"), getattr(self, f"bn{key}")
-        return relu(bn(conv(features), training))
+        out = conv(features)
+        if training:
+            return bn._train(out, fuse_relu=True)
+        if recording():
+            return relu(bn(out))
+        scale, shift = bn._eval_affine()
+        np.multiply(out.data, scale.data, out=out.data)
+        np.add(out.data, shift.data, out=out.data)
+        return _relu_fresh(out)
+
+
+def _relu_fresh(x):
+    """``relu(x)`` for an ``x`` whose buffer nothing else holds: in place
+    when no graph is recorded."""
+    if recording():
+        return relu(x)
+    np.maximum(x.data, 0, out=x.data)
+    return x
 
 
 class PointwiseConv(Module):
@@ -87,8 +106,11 @@ class PointwiseConv(Module):
                 f"layer expects {self.d_in} input channels, got shape "
                 f"{features.shape}")
         out = matmul(features, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
+        if self.bias is None:
+            return out
+        if recording():
+            return out + self.bias
+        np.add(out.data, self.bias.data, out=out.data)
         return out
 
 
@@ -116,35 +138,51 @@ class BatchNorm(Module):
             raise DimensionError(
                 f"batch norm of width {self.width} got shape {features.shape}")
         if training:
-            rows = math.prod(features.shape[:-1])
-            if rows < 2:
-                raise DegenerateError(
-                    f"cannot normalize a batch of {rows} value(s) per channel")
-            axes = tuple(range(features.ndim - 1))
-            mean = _accurate_mean(features.data, axes, rows)
-            xhat = features.data - mean
-            var = _accurate_mean(xhat * xhat, axes, rows)
-            std = np.sqrt(var + self.eps)
-            xhat /= std  # centered values, normalized in place
-            out = self._train_node(features, xhat, 1.0 / std, axes, rows)
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
-            self.running_var = (1.0 - m) * self.running_var + m * var
-            return out
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        scale = self.gamma * inv
-        shift = self.beta - scale * self.running_mean
+            return self._train(features)
+        scale, shift = self._eval_affine()
         return features * scale + shift
 
-    def _train_node(self, features, xhat, inv, axes, rows):
-        """One graph node with the closed-form gradient (Ioffe & Szegedy,
-        ICML 2015, section 3); float32 sums accumulate at float64."""
+    def _eval_affine(self):
+        """(scale, shift) of the eval map, from the running estimates."""
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma * inv
+        return scale, self.beta - scale * self.running_mean
+
+    def _train(self, features, fuse_relu=False):
+        """Normalize by the batch statistics, update the running estimates
+        and record one node, with its ReLU when ``fuse_relu``. The gradient
+        masks by the ReLU, then takes the closed form of Ioffe & Szegedy
+        (ICML 2015, section 3); float32 sums accumulate at float64."""
+        rows = math.prod(features.shape[:-1])
+        if rows < 2:
+            raise DegenerateError(
+                f"cannot normalize a batch of {rows} value(s) per channel")
+        axes = tuple(range(features.ndim - 1))
+        mean = _accurate_mean(features.data, axes, rows)
+        xhat = features.data - mean
+        var = _accurate_mean(xhat * xhat, axes, rows)
+        std = np.sqrt(var + self.eps)
+        xhat /= std  # centered values, normalized in place
+        inv = 1.0 / std
+        m = self.momentum
+        # in place: an array made here would outlive the step and split the
+        # heap that the step's temporaries free
+        self.running_mean *= 1.0 - m
+        self.running_mean += m * mean
+        self.running_var *= 1.0 - m
+        self.running_var += m * var
         gamma, beta = self.gamma, self.beta
         data = xhat * gamma.data
         data += beta.data
-        out = _record(data, (features, gamma, beta), "batch_norm")
+        mask = data > 0 if fuse_relu else None
+        if fuse_relu:
+            np.maximum(data, 0, out=data)
+        out = _record(data, (features, gamma, beta),
+                      "batch_norm_relu" if fuse_relu else "batch_norm")
         if out._parents:
             def rule(g):
+                if mask is not None:
+                    g = g * mask
                 g_xhat = g * xhat
                 sum_g = _accurate_sum(g, axes)
                 sum_gx = _accurate_sum(g_xhat, axes)
@@ -167,8 +205,9 @@ class BatchNorm(Module):
 class Ladder(Module):
     """Rungs of pointwise conv (no bias) -> batch norm -> ReLU.
 
-    Rung i is registered as ``conv{i}`` and ``bn{i}``; calling the ladder
-    returns the last rung's output (the input itself when there are none).
+    Rung i is registered as ``conv{i}`` and ``bn{i}`` and runs as one unit
+    (``Module._rung``); calling the ladder returns the last rung's output
+    (the input itself when there are none).
     """
 
     def __init__(self, c_in, widths, rng, dtype=np.float64):
@@ -264,7 +303,7 @@ class TNet(Ladder):
         x = reshape(features, (1,) + tuple(features.shape)) if single else features
         pooled = reduce_max(super().__call__(x, training), axis=-2)
         for fc in self._numbered("fc"):
-            pooled = relu(fc(pooled))
+            pooled = _relu_fresh(fc(pooled))
         flat = self.out(pooled)
         mats = reshape(flat, (flat.shape[0], self.k, self.k))
         if single:

@@ -86,10 +86,13 @@ class ModelConfig:
 
 
 def _integer(name, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool or a non-integer raises ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def config_hash(config):

@@ -41,6 +41,12 @@ class no_grad:
         return False
 
 
+def recording():
+    """Whether operations on this thread record the graph (False under
+    ``no_grad``)."""
+    return _State.recording
+
+
 class Tensor:
     """A dense float array plus the bookkeeping for reverse-mode gradients."""
 
@@ -412,20 +418,24 @@ def graph_order(root):
 def backward(root):
     """Populate ``grad`` on every reachable requires_grad tensor.
 
-    The seed must be scalar, and a graph can only be traversed once; build a
-    fresh forward pass before calling again.
+    The seed must be scalar, and each recorded node can be walked once: a
+    call that reaches the root or a recorded node of an earlier call raises
+    ``UsageError``; build a fresh forward pass before calling again.
     """
     if not isinstance(root, Tensor):
         raise UsageError("backward expects a Tensor")
     if root.size != 1:
         raise UsageError(f"backward seed must be scalar, got shape {root.shape}")
-    if root._backward_ran:
+    order = graph_order(root) if root.requires_grad else [root]
+    walked = [node for node in order if node._parents or node is root]
+    if any(node._backward_ran for node in walked):
         raise UsageError(
-            "backward already ran for this graph; rebuild the forward pass first")
-    root._backward_ran = True
+            "backward already ran through this graph; rebuild the forward "
+            "pass first")
+    for node in walked:
+        node._backward_ran = True
     if not root.requires_grad:
         return
-    order = graph_order(root)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward_fn is not None:

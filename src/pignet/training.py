@@ -24,7 +24,7 @@ from .errors import (CompatibilityError, ConfigError, DataError,
                      DimensionError, DomainError, FormatError)
 from .seeding import AUGMENT, SAMPLE, SHUFFLE, make_rng
 from .tensor import Tensor, backward
-from .model import build_model, config_hash, segmentation_loss
+from .model import _integer, build_model, config_hash, segmentation_loss
 from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
@@ -42,6 +42,8 @@ class TrainConfig:
     category: str = ""
 
     def __post_init__(self):
+        for name in ("epochs", "seed", "batch_size"):
+            _integer(name, getattr(self, name))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.learning_rate < math.inf:
@@ -122,7 +124,6 @@ def _train_step(model, optimizer, clouds, batch_idx, epoch, batch_number,
     logits, feature_mat = model.forward(batch, training=True)
     loss = segmentation_loss(logits, np.stack(batch_labels), feature_mat,
                              lambda_reg)
-    optimizer.zero_grad()
     backward(loss)
     value = loss.item()
     if not math.isfinite(value):
@@ -133,6 +134,7 @@ def _train_step(model, optimizer, clouds, batch_idx, epoch, batch_number,
             f"loss is {value} at epoch {epoch}, batch {batch_number}; first "
             f"parameter with a non-finite gradient: {bad}")
     optimizer.step()
+    optimizer.zero_grad()  # the gradients are spent; free them now
     return value
 
 

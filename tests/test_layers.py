@@ -6,7 +6,8 @@ from pignet.layers import (BatchNorm, PointwiseConv, TNet, channel_window_max,
                            global_average_pool, max_over_points,
                            orthogonality_regularizer)
 from pignet.seeding import make_rng
-from pignet.tensor import Tensor, backward, finite_diff_check, reduce_sum
+from pignet.tensor import (Tensor, backward, finite_diff_check, reduce_sum,
+                           relu)
 
 
 def t(data, grad=False):
@@ -142,6 +143,28 @@ class TestBatchNorm:
         out = bn(x, training=True)
         assert out._op == "batch_norm"
         assert out._parents == (x, bn.gamma, bn.beta)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relu_node_matches_two_nodes(self, dtype):
+        # the same bytes forward and backward as relu(bn(x)), in one node
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True, dtype=dtype)
+        weights = Tensor(rng.normal(size=(2, 5, 4)), dtype=dtype)
+        gamma, beta = rng.normal(size=(2, 4))
+        gamma[0] = beta[0] = 0.0  # exact zeros, where the ReLU passes none
+        grads = []
+        for fused in (False, True):
+            bn = BatchNorm(4, dtype=dtype)
+            bn.gamma.data[:] = gamma
+            bn.beta.data[:] = beta
+            x.grad = None
+            out = bn._train(x, fuse_relu=True) if fused else relu(bn(x, True))
+            assert out._op == ("batch_norm_relu" if fused else "relu")
+            backward(reduce_sum(out * weights))
+            grads.append([a.tobytes() for a in (
+                out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                bn.running_mean, bn.running_var)])
+        assert grads[0] == grads[1]
 
     def test_gradient_batched(self):
         bn = BatchNorm(3)

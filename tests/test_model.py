@@ -12,7 +12,8 @@ from pignet.model import (ModelConfig, PigNet, PointNetBaseline, build_model,
                           config_hash, count_parameters, parameter_count,
                           segmentation_loss)
 from pignet.seeding import make_rng
-from pignet.tensor import Tensor, backward, finite_diff_check
+from pignet.tensor import (Tensor, backward, finite_diff_check, graph_order,
+                           no_grad)
 from pignet.training import AdamOptimizer, TrainConfig, _named_arrays
 
 
@@ -300,6 +301,80 @@ def test_parameter_gradient_golden(name, dtype):
     assert digest.hexdigest() == PARAMETER_GRADIENT_GOLDEN[name, dtype]
 
 
+def _move_batch_norms(model, rng):
+    """Running statistics and gamma/beta away from their 0/1 starts."""
+    for name, p in model.named_parameters():
+        if name.endswith(("gamma", "beta")):
+            p.data[:] = rng.normal(name.endswith("gamma"), 0.3, p.shape)
+    for name, arr in model.named_state():
+        if name.endswith("running_mean"):
+            arr[:] = rng.normal(0.0, 0.5, arr.shape)
+        else:
+            arr[:] = rng.uniform(0.3, 3.0, arr.shape)
+
+
+def _overfit_config(arch="pignet"):
+    """The float32 acceptance overfit configuration, or the comparator."""
+    if arch == "pointnet":
+        return ModelConfig(num_parts=3, arch="pointnet", dtype="float32")
+    return ModelConfig(num_parts=3, inception_plan=(8, 16, 24),
+                       dtype="float32")
+
+
+# SHA-256 over the running statistics after one no_grad train-mode forward,
+# then the logits, for tiny_config(feature_reduce=8) and _pointnet_config()
+NO_GRAD_TRAIN_STATE_GOLDEN = (
+    "0ed0b4c4b4f0e5b12a3159c0bab8745371e8cf4f499d2348b6b4e41740288bea",
+    "06c58ef12435a255670ea3da829507aaa2ce544951c811437a5bae86ba161c13",
+)
+
+
+class TestRungExecution:
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("arch", ["pignet", "pointnet"])
+    def test_in_place_eval_matches_recorded_forward(self, arch, n):
+        model = build_model(_overfit_config(arch), seed=0)
+        rng = np.random.default_rng(n)
+        _move_batch_norms(model, rng)
+        pts = rng.normal(size=(n, 3))
+        recorded, _ = model.forward(pts, training=False)
+        with no_grad():
+            plain, _ = model.forward(pts, training=False)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    def test_training_step_records_one_node_per_rung(self):
+        # 85 recorded nodes and 80 leaves
+        config = _overfit_config()
+        model = build_model(config, seed=0)
+        rng = np.random.default_rng(0)
+        logits, mat = model.forward(rng.normal(size=(8, 256, 3)),
+                                    training=True)
+        loss = segmentation_loss(logits, rng.integers(0, 3, size=(8, 256)),
+                                 mat, config.lambda_reg)
+        order = graph_order(loss)
+        assert len(order) == 165
+        ops = [node._op for node in order]
+        assert ops.count("batch_norm_relu") == 21 and "batch_norm" not in ops
+        assert ops.count("relu") == 4  # the T-Nets' fully connected layers
+
+    def test_no_grad_train_forward_updates_running_statistics(self):
+        for config, expected in zip((tiny_config(feature_reduce=8),
+                                     _pointnet_config()),
+                                    NO_GRAD_TRAIN_STATE_GOLDEN):
+            model = build_model(config, seed=0)
+            batch = np.random.default_rng(8).normal(size=(2, 24, 3))
+            with no_grad():
+                logits, _ = model.forward(batch, training=True)
+            assert not logits.requires_grad
+            digest = hashlib.sha256()
+            for name, arr in model.named_state():
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(logits.data.tobytes())
+            assert digest.hexdigest() == expected, config.arch
+
+
 class TestPredict:
     def test_argmax(self):
         model = PigNet(tiny_config(), seed=12)
@@ -411,6 +486,13 @@ class TestConfig:
             with pytest.raises(ConfigError,
                                match=f"{name} must be true or false"):
                 ModelConfig(num_parts=3, **{name: value})
+        # operator.index(True) is 1, but a switch is no size
+        for name, value in (("feature_reduce", True), ("num_parts", True),
+                            ("head_widths", (True, 4)),
+                            ("baseline_local_index", False)):
+            with pytest.raises(ConfigError,
+                               match=f"{name} must be an integer, got"):
+                ModelConfig(**{"num_parts": 3, name: value})
 
     def test_hash_distinguishes_configs(self):
         a = config_hash(tiny_config())

@@ -224,10 +224,10 @@ class TestNoGradSkipsBackwardWork:
         assert plain.data.tobytes() == recorded.data.tobytes()
 
 
-def _batch_norm(x, gamma, beta):
+def _batch_norm(x, gamma, beta, fuse_relu=False):
     bn = BatchNorm(x.shape[-1])
     bn.gamma, bn.beta = gamma, beta
-    return bn(x, training=True)
+    return bn._train(x, fuse_relu)
 
 
 # every recording op and both custom nodes: (function, operand shapes)
@@ -250,6 +250,8 @@ RULE_CASES = {
     "cross_entropy": (lambda a: cross_entropy(a, np.arange(12) % 5),
                       [(12, 5)]),
     "batch_norm": (_batch_norm, [(2, 6, 5), (5,), (5,)]),
+    "batch_norm_relu": (lambda *ts: _batch_norm(*ts, fuse_relu=True),
+                        [(2, 6, 5), (5,), (5,)]),
     "channel_window_max": (channel_window_max, [(2, 6, 5)]),
 }
 
@@ -293,6 +295,24 @@ class TestBackward:
         backward(loss)
         with pytest.raises(UsageError):
             backward(loss)
+
+    def test_walked_node_rejected_from_a_second_root(self):
+        # a second backward through h would add 3 again, making w.grad 6
+        w = t([1.0])
+        h = w * 3.0
+        backward(reduce_sum(h))
+        with pytest.raises(UsageError, match="already ran"):
+            backward(h)
+        assert np.array_equal(w.grad, [3.0])
+        with pytest.raises(UsageError, match="already ran"):
+            backward(reduce_sum(h * 2.0))
+        assert np.array_equal(w.grad, [3.0])
+
+    def test_leaves_stay_reusable(self):
+        w = t([1.0])
+        backward(reduce_sum(w * 3.0))
+        backward(reduce_sum(w * 2.0))
+        assert np.array_equal(w.grad, [5.0])
 
     def test_diamond_graph_accumulates(self):
         x = t([2.0])

@@ -102,6 +102,19 @@ class TestTrainCategory:
         losses = [h["train_loss"] for h in result.history]
         assert losses[-1] < losses[0]
 
+    def test_spent_state_not_kept(self, lamp_split):
+        # each step frees its gradients after Adam, and batch norm updates
+        # its running estimates in the arrays that checkpoints read and write
+        model = build_model(tiny_model_config(), seed=2)
+        state = [arr for _, arr in model.named_state()]
+        result = train_category(lamp_split.train, tiny_model_config(),
+                                TrainConfig(epochs=2, seed=2, batch_size=2),
+                                quiet_augment(), points=32)
+        assert all(p.grad is None for _, p in result.model.named_parameters())
+        model.forward(np.random.default_rng(0).normal(size=(2, 8, 3)),
+                      training=True)
+        assert all(a is b for a, (_, b) in zip(state, model.named_state()))
+
     def test_determinism_bit_identical_loss_traces(self, lamp_split):
         config = tiny_model_config()
         train_cfg = TrainConfig(epochs=3, seed=3, batch_size=8)
@@ -408,13 +421,15 @@ class TestCorruptMetadata:
             lambda meta: meta["config"].update(inception_plan="4,8"))
         self.assert_rejected(model_from_checkpoint, checkpoint)
 
-    # the last four: two non-bool switches, non-iterable widths, an empty plan
+    # then two non-bool switches, non-iterable widths, an empty plan and a
+    # bool for a size
     @pytest.mark.parametrize("key, value", [("num_parts", 3.5),
                                             ("inception_plan", [4.0, 8.0]),
                                             ("use_gap", "false"),
                                             ("use_inception", 0),
                                             ("head_widths", 5),
-                                            ("inception_plan", [])])
+                                            ("inception_plan", []),
+                                            ("feature_reduce", True)])
     def test_non_integer_size(self, checkpoint, key, value):
         self.rewrite_meta(checkpoint,
                           lambda meta: meta["config"].update({key: value}))
@@ -501,3 +516,15 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, beta1=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", True), ("seed", 1.5), ("seed", False),
+        ("batch_size", 2.5), ("batch_size", True), ("epochs", "3")])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be an integer, got"):
+            TrainConfig(**{"epochs": 1, field: value})
+
+    def test_first_bad_count_named(self):
+        with pytest.raises(ConfigError, match="epochs must be an integer"):
+            TrainConfig(epochs=True, seed=1.5, batch_size=2.5)
