@@ -62,8 +62,6 @@ def _schema():
         missing = _CLI_DEFAULTS.get(section, {})
         schema[section] = {}
         for f in fields(cls):
-            if f.name == "category":  # TrainConfig.category comes from [data]
-                continue
             default = missing.get(f.name, f.default)
             kind = (get_args(f.type) or (f.type,))[0]
             if kind is tuple:
@@ -110,8 +108,7 @@ class RunConfig:
         if self.points < 1:
             raise ConfigError("[data] points must be >= 1")
         self.model_kwargs = parsed["model"]
-        self.train_config = TrainConfig(**parsed["train"],
-                                        category=self.category)
+        self.train_config = TrainConfig(**parsed["train"])
         self.augment_config = AugmentConfig(**parsed["augment"])
 
     def model_config(self, num_parts):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateError, ParseError,
                      UsageError)
+from .model import _integer, _real
 from .seeding import rng_of
 
 
@@ -174,22 +175,27 @@ class AugmentConfig:
     up_axis: int = 1
 
     def __post_init__(self):
-        self.scale_range = tuple(self.scale_range)
-        self.translate_range = tuple(self.translate_range)
+        if not isinstance(self.rotate_up_axis, bool):
+            raise ConfigError(f"rotate_up_axis must be true or false, "
+                              f"got {self.rotate_up_axis!r}")
         for name in ("scale_range", "translate_range"):
             bounds = getattr(self, name)
+            bounds = tuple(bounds) if np.iterable(bounds) else (bounds,)
+            for bound in bounds:
+                _real(name, bound)
             if len(bounds) != 2 or bounds[0] > bounds[1]:
                 raise ConfigError(
                     f"{name} must be two values low <= high, got {bounds}")
             if not all(map(math.isfinite, bounds)):
                 raise ConfigError(f"{name} must be finite, got {bounds}")
+            setattr(self, name, bounds)
         if self.scale_range[0] <= 0:
             raise ConfigError(
                 f"scale range must stay positive, got {self.scale_range}")
-        if not 0 <= self.jitter_sigma < math.inf:
+        if not 0 <= _real("jitter_sigma", self.jitter_sigma) < math.inf:
             raise ConfigError(
                 f"jitter sigma must be finite and >= 0, got {self.jitter_sigma}")
-        if self.up_axis not in (0, 1, 2):
+        if _integer("up_axis", self.up_axis) not in (0, 1, 2):
             raise ConfigError(f"up_axis must be 0, 1 or 2, got {self.up_axis}")
 
 

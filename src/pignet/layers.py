@@ -8,6 +8,7 @@ reorders the outputs identically.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateError, DimensionError, DomainError
 from .tensor import (Tensor, _accurate_mean, _accurate_sum, _record,
@@ -163,7 +164,6 @@ class BatchNorm(Module):
         var = _accurate_mean(xhat * xhat, axes, rows)
         std = np.sqrt(var + self.eps)
         xhat /= std  # centered values, normalized in place
-        inv = 1.0 / std
         m = self.momentum
         # in place: an array made here would outlive the step and split the
         # heap that the step's temporaries free
@@ -174,28 +174,25 @@ class BatchNorm(Module):
         gamma, beta = self.gamma, self.beta
         data = xhat * gamma.data
         data += beta.data
-        mask = data > 0 if fuse_relu else None
         if fuse_relu:
             np.maximum(data, 0, out=data)
-        out = _record(data, (features, gamma, beta),
-                      "batch_norm_relu" if fuse_relu else "batch_norm")
-        if out._parents:
-            def rule(g):
-                if mask is not None:
-                    g = g * mask
-                g_xhat = g * xhat
-                sum_g = _accurate_sum(g, axes)
-                sum_gx = _accurate_sum(g_xhat, axes)
-                # dx = gamma * inv * (g - sum(g) / N - xhat * sum(g * xhat) / N),
-                # built in the buffer of g * xhat
-                dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
-                dx += g
-                dx -= sum_g / rows
-                dx *= gamma.data * inv
-                return dx, sum_gx, sum_g
 
-            out._backward_fn = rule
-        return out
+        def rule(g):
+            if fuse_relu:
+                g = g * (data > 0)  # the ReLU'd output: > 0 where its input was
+            g_xhat = g * xhat
+            sum_g = _accurate_sum(g, axes)
+            sum_gx = _accurate_sum(g_xhat, axes)
+            # dx = gamma / std * (g - sum(g) / N - xhat * sum(g * xhat) / N),
+            # built in the buffer of g * xhat
+            dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
+            dx += g
+            dx -= sum_g / rows
+            dx *= gamma.data * (1.0 / std)
+            return dx, sum_gx, sum_g
+
+        return _record(data, (features, gamma, beta),
+                       "batch_norm_relu" if fuse_relu else "batch_norm", rule)
 
     def named_state(self, prefix=""):
         return [(prefix + "running_mean", self.running_mean),
@@ -254,25 +251,23 @@ def channel_window_max(features):
     k = x.shape[-1]
     if k == 0:
         raise DomainError("cannot pool over an empty channel axis")
+
+    def rule(g):
+        # the first of (left, own, right) holding the maximum, mapped back to
+        # a clamped source channel; window j of ``edged`` is channel j's
+        edged = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
+        offset = sliding_window_view(edged, 3, axis=-1).argmax(axis=-1)
+        src = np.clip(np.arange(k) - 1 + offset, 0, k - 1)
+        gx = np.zeros_like(x)
+        flat_gx = gx.reshape(-1, k)
+        rows = np.arange(flat_gx.shape[0])[:, None]
+        np.add.at(flat_gx, (rows, src.reshape(-1, k)), g.reshape(-1, k))
+        return (gx,)
+
     left = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
     right = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
-    out = _record(np.maximum(np.maximum(left, x), right), (features,),
-                  "channel_window_max")
-    if out._parents:
-        # the first of (left, own, right) holding the maximum, mapped back to
-        # a clamped source channel
-        offset = np.stack([left, x, right], axis=-1).argmax(axis=-1)
-        src = np.clip(np.arange(k) - 1 + offset, 0, k - 1)
-
-        def rule(g):
-            gx = np.zeros_like(x)
-            flat_gx = gx.reshape(-1, k)
-            rows = np.arange(flat_gx.shape[0])[:, None]
-            np.add.at(flat_gx, (rows, src.reshape(-1, k)), g.reshape(-1, k))
-            return (gx,)
-
-        out._backward_fn = rule
-    return out
+    return _record(np.maximum(np.maximum(left, x), right), (features,),
+                   "channel_window_max", rule)
 
 
 class TNet(Ladder):

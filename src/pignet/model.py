@@ -8,6 +8,7 @@ with a shared head; no softmax is applied to the returned logits.
 
 import hashlib
 import json
+import numbers
 import operator
 from dataclasses import dataclass, asdict
 
@@ -62,7 +63,7 @@ class ModelConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if _integer("num_parts", self.num_parts) < 2:
             raise ConfigError(f"num_parts must be >= 2, got {self.num_parts}")
-        if not 0 <= self.lambda_reg < np.inf:
+        if not 0 <= _real("lambda_reg", self.lambda_reg) < np.inf:
             raise ConfigError(
                 f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
         if not self.inception_plan:
@@ -93,6 +94,13 @@ def _integer(name, value):
         except TypeError:
             pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name, value):
+    """``value`` itself; a bool or a non-real raises ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def config_hash(config):

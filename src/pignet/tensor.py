@@ -1,15 +1,18 @@
 """Dense real tensors with a minimal reverse-mode differentiation core.
 
-The graph is define-by-run: each operation stores its input tensors in
-``_parents`` and a backward rule on its output, and ``backward()`` replays
-the recording once in reverse topological order. A rule maps the output's
-gradient to one gradient per parent, in ``_parents`` order, each shaped
-like that parent; ``backward()`` alone adds them into the parents that
-require a gradient. Arrays are numpy underneath; float64 is the default so
-gradient checks stay meaningful, float32 is accepted for faster training
-runs.
+The graph is define-by-run: each operation passes its result, its inputs
+and its backward rule to ``_record``, which keeps the inputs in
+``_parents`` and the rule on the output when recording, and ``backward()``
+replays the recording once in reverse topological order. A rule maps the
+output's gradient to one gradient per parent, in ``_parents`` order, each
+shaped like that parent; ``backward()`` alone adds them into the parents
+that require a gradient. Masks, indices and offsets that only a gradient
+needs are built by the rule, when ``backward()`` calls it. Arrays are numpy
+underneath; float64 is the default so gradient checks stay meaningful,
+float32 is accepted for faster training runs.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -130,12 +133,14 @@ def _pair(a, b):
     return Tensor(np.asarray(a, dtype=b.dtype)), b
 
 
-def _record(data, parents, op):
+def _record(data, parents, op, rule):
+    """A Tensor of ``data`` that keeps ``parents`` and ``rule`` if recorded."""
     out = Tensor(data)
     if _State.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._op = op
+        out._backward_fn = rule
     return out
 
 
@@ -162,29 +167,23 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _pair(a, b)
-    out = _record(a.data + b.data, (a, b), "add")
-    if out._parents:
-        out._backward_fn = lambda g: (_unbroadcast(g, a.shape),
-                                      _unbroadcast(g, b.shape))
-    return out
+    return _record(a.data + b.data, (a, b), "add",
+                   lambda g: (_unbroadcast(g, a.shape),
+                              _unbroadcast(g, b.shape)))
 
 
 def sub(a, b):
     a, b = _pair(a, b)
-    out = _record(a.data - b.data, (a, b), "sub")
-    if out._parents:
-        out._backward_fn = lambda g: (_unbroadcast(g, a.shape),
-                                      _unbroadcast(-g, b.shape))
-    return out
+    return _record(a.data - b.data, (a, b), "sub",
+                   lambda g: (_unbroadcast(g, a.shape),
+                              _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b):
     a, b = _pair(a, b)
-    out = _record(a.data * b.data, (a, b), "mul")
-    if out._parents:
-        out._backward_fn = lambda g: (_unbroadcast(g * b.data, a.shape),
-                                      _unbroadcast(g * a.data, b.shape))
-    return out
+    return _record(a.data * b.data, (a, b), "mul",
+                   lambda g: (_unbroadcast(g * b.data, a.shape),
+                              _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a, b):
@@ -205,17 +204,15 @@ def matmul(a, b):
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(
             f"matmul batch extents disagree: {a.shape} @ {b.shape}")
-    out = _record(a.data @ b.data, (a, b), "matmul")
-    if out._parents:
-        def rule(g):
-            if b.ndim == 2 and a.ndim == 3:
-                gb = np.tensordot(a.data, g, axes=((0, 1), (0, 1)))
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            return g @ np.swapaxes(b.data, -1, -2), gb
 
-        out._backward_fn = rule
-    return out
+    def rule(g):
+        if b.ndim == 2 and a.ndim == 3:
+            gb = np.tensordot(a.data, g, axes=((0, 1), (0, 1)))
+        else:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+        return g @ np.swapaxes(b.data, -1, -2), gb
+
+    return _record(a.data @ b.data, (a, b), "matmul", rule)
 
 
 def relu(a):
@@ -225,11 +222,8 @@ def relu(a):
     downstream instead of being masked to 0.
     """
     a = as_tensor(a)
-    out = _record(np.maximum(a.data, 0), (a,), "relu")
-    if out._parents:
-        mask = a.data > 0
-        out._backward_fn = lambda g: (g * mask,)
-    return out
+    return _record(np.maximum(a.data, 0), (a,), "relu",
+                   lambda g: (g * (a.data > 0),))
 
 
 def _norm_axes(axis, ndim):
@@ -238,6 +232,12 @@ def _norm_axes(axis, ndim):
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(sorted(ax % ndim for ax in axis))
+
+
+def _spread(g, shape, axes):
+    """A reduction's gradient broadcast back over its reduced ``axes``."""
+    kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
+    return np.broadcast_to(g.reshape(kept), shape)
 
 
 def _accurate_sum(data, axes):
@@ -258,29 +258,19 @@ def _accurate_mean(data, axes, count):
 def reduce_sum(a, axis=None):
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    out = _record(_accurate_sum(a.data, axes), (a,), "sum")
-    if out._parents:
-        kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
-        out._backward_fn = lambda g: (
-            np.broadcast_to(g.reshape(kept), a.shape),)
-    return out
+    return _record(_accurate_sum(a.data, axes), (a,), "sum",
+                   lambda g: (_spread(g, a.shape, axes),))
 
 
 def reduce_mean(a, axis=None):
     """Arithmetic mean over ``axis``; the gradient spreads uniformly (1/n)."""
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
+    count = math.prod(a.shape[ax] for ax in axes)
     if count == 0:
         raise DomainError("cannot average over an empty axis")
-    out = _record(_accurate_mean(a.data, axes, count), (a,), "mean")
-    if out._parents:
-        kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
-        out._backward_fn = lambda g: (
-            np.broadcast_to(g.reshape(kept), a.shape) / count,)
-    return out
+    return _record(_accurate_mean(a.data, axes, count), (a,), "mean",
+                   lambda g: (_spread(g, a.shape, axes) / count,))
 
 
 def reduce_max(a, axis):
@@ -292,8 +282,8 @@ def reduce_max(a, axis):
     if a.shape[axis] == 0:
         raise DomainError("cannot take a maximum over an empty axis")
     peak = a.data.max(axis=axis)
-    out = _record(peak, (a,), "max")
-    if out._parents:
+
+    def rule(g):
         # the first occurrence on ties; matching the maximum is about twice
         # as fast as argmax along a strided axis, but no NaN matches, so
         # NaN input keeps argmax's choice of its first NaN
@@ -301,15 +291,12 @@ def reduce_max(a, axis):
             idx = a.data.argmax(axis=axis)
         else:
             idx = (a.data == np.expand_dims(peak, axis)).argmax(axis=axis)
+        gx = np.zeros_like(a.data)
+        np.put_along_axis(gx, np.expand_dims(idx, axis),
+                          np.expand_dims(g, axis), axis)
+        return (gx,)
 
-        def rule(g):
-            gx = np.zeros_like(a.data)
-            np.put_along_axis(gx, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis)
-            return (gx,)
-
-        out._backward_fn = rule
-    return out
+    return _record(peak, (a,), "max", rule)
 
 
 def concat(tensors, axis=-1):
@@ -326,12 +313,13 @@ def concat(tensors, axis=-1):
             raise DimensionError(
                 f"concat extents disagree off axis {axis}: "
                 f"{[tuple(t.shape) for t in tensors]}")
-    out = _record(np.concatenate([t.data for t in tensors], axis=axis),
-                  tuple(tensors), "concat")
-    if out._parents:
+
+    def rule(g):
         offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-        out._backward_fn = lambda g: np.split(g, offsets, axis=axis)
-    return out
+        return np.split(g, offsets, axis=axis)
+
+    return _record(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, "concat", rule)
 
 
 def reshape(a, shape):
@@ -339,30 +327,23 @@ def reshape(a, shape):
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} into {shape}")
-    out = _record(a.data.reshape(shape), (a,), "reshape")
-    if out._parents:
-        out._backward_fn = lambda g: (g.reshape(a.shape),)
-    return out
+    return _record(a.data.reshape(shape), (a,), "reshape",
+                   lambda g: (g.reshape(a.shape),))
 
 
 def transpose_last2(a):
     a = as_tensor(a)
     if a.ndim < 2:
         raise DimensionError(f"transpose needs rank >= 2, got {a.shape}")
-    out = _record(np.swapaxes(a.data, -1, -2), (a,), "transpose")
-    if out._parents:
-        out._backward_fn = lambda g: (np.swapaxes(g, -1, -2),)
-    return out
+    return _record(np.swapaxes(a.data, -1, -2), (a,), "transpose",
+                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def repeat_rows(a, n):
     """Repeat a (..., k) tensor into (..., n, k); gradients sum back over rows."""
     a = as_tensor(a)
-    out = _record(np.repeat(np.expand_dims(a.data, -2), n, axis=-2), (a,),
-                  "repeat_rows")
-    if out._parents:
-        out._backward_fn = lambda g: (g.sum(axis=-2),)
-    return out
+    return _record(np.repeat(np.expand_dims(a.data, -2), n, axis=-2), (a,),
+                   "repeat_rows", lambda g: (g.sum(axis=-2),))
 
 
 def cross_entropy(logits, labels):
@@ -383,17 +364,15 @@ def cross_entropy(logits, labels):
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(count)
-    out = _record(-_accurate_mean(logp[rows, labels], (0,), count), (x,),
-                  "cross_entropy")
-    if out._parents:
-        def rule(g):
-            s = -g / count
-            gx = np.zeros_like(logp)
-            gx[rows, labels] = s
-            return (gx - np.exp(logp) * s,)
 
-        out._backward_fn = rule
-    return out
+    def rule(g):
+        s = -g / count
+        gx = np.zeros_like(logp)
+        gx[rows, labels] = s
+        return (gx - np.exp(logp) * s,)
+
+    return _record(-_accurate_mean(logp[rows, labels], (0,), count), (x,),
+                   "cross_entropy", rule)
 
 
 def graph_order(root):

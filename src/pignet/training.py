@@ -24,7 +24,8 @@ from .errors import (CompatibilityError, ConfigError, DataError,
                      DimensionError, DomainError, FormatError)
 from .seeding import AUGMENT, SAMPLE, SHUFFLE, make_rng
 from .tensor import Tensor, backward
-from .model import _integer, build_model, config_hash, segmentation_loss
+from .model import (_integer, _real, build_model, config_hash,
+                    segmentation_loss)
 from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
@@ -39,11 +40,12 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon_adam: float = 1e-8
-    category: str = ""
 
     def __post_init__(self):
         for name in ("epochs", "seed", "batch_size"):
             _integer(name, getattr(self, name))
+        for name in ("learning_rate", "beta1", "beta2", "epsilon_adam"):
+            _real(name, getattr(self, name))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.learning_rate < math.inf:

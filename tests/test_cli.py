@@ -57,7 +57,7 @@ DEFAULT_EFFECTIVE = (
      "baseline_plan": (64, 64, 64, 128, 1024), "baseline_local_index": 2,
      "dtype": "float64"},
     {"epochs": 50, "seed": 0, "batch_size": 64, "learning_rate": 0.001,
-     "beta1": 0.9, "beta2": 0.999, "epsilon_adam": 1e-08, "category": ""},
+     "beta1": 0.9, "beta2": 0.999, "epsilon_adam": 1e-08},
     {"rotate_up_axis": True, "scale_range": (0.66, 1.5),
      "translate_range": (-0.2, 0.2), "jitter_sigma": 0.01, "up_axis": 1},
 )
@@ -109,7 +109,7 @@ EVERY_KEY_EFFECTIVE = (
      "baseline_plan": (8, 8, 8, 16, 32), "baseline_local_index": 1,
      "dtype": "float32"},
     {"epochs": 7, "seed": 3, "batch_size": 4, "learning_rate": 0.005,
-     "beta1": 0.8, "beta2": 0.99, "epsilon_adam": 1e-06, "category": "lamp"},
+     "beta1": 0.8, "beta2": 0.99, "epsilon_adam": 1e-06},
     {"rotate_up_axis": False, "scale_range": (0.8, 1.25),
      "translate_range": (-0.1, 0.3), "jitter_sigma": 0.02, "up_axis": 2},
 )

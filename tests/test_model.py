@@ -301,6 +301,31 @@ def test_parameter_gradient_golden(name, dtype):
     assert digest.hexdigest() == PARAMETER_GRADIENT_GOLDEN[name, dtype]
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["inception-reduce-tnet",
+                                  "no-inception-no-gap", "pointnet"])
+def test_rules_read_their_inputs_when_backward_runs(name, dtype):
+    # a no_grad eval forward on another batch, run between the recorded
+    # forward and its backward, leaves every gradient's bytes as they were
+    def gradients(eval_between):
+        config = _gradient_configs(dtype)[name]
+        model = build_model(config, seed=0)
+        rng = np.random.default_rng(7)
+        batch = rng.normal(size=(2, 24, 3)).astype(dtype)
+        labels = rng.integers(0, config.num_parts, size=(2, 24))
+        logits, mat = model.forward(batch, training=True)
+        loss = segmentation_loss(logits, labels, mat, config.lambda_reg)
+        if eval_between:
+            other = rng.normal(size=(3, 40, 3)).astype(dtype)
+            with no_grad():
+                model.forward(other, training=False)
+        backward(loss)
+        return [(pname, p.grad.tobytes())
+                for pname, p in model.named_parameters()]
+
+    assert gradients(True) == gradients(False)
+
+
 def _move_batch_norms(model, rng):
     """Running statistics and gamma/beta away from their 0/1 starts."""
     for name, p in model.named_parameters():
@@ -469,6 +494,10 @@ class TestConfig:
             ModelConfig(num_parts=3, inception_plan=(7,))
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, lambda_reg=-0.1)
+        for value in (True, "0.1", None):
+            with pytest.raises(ConfigError,
+                               match="lambda_reg must be a real number, got"):
+                ModelConfig(num_parts=3, lambda_reg=value)
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, dtype="float16")
         with pytest.raises(ConfigError):

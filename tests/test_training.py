@@ -429,7 +429,8 @@ class TestCorruptMetadata:
                                             ("use_inception", 0),
                                             ("head_widths", 5),
                                             ("inception_plan", []),
-                                            ("feature_reduce", True)])
+                                            ("feature_reduce", True),
+                                            ("lambda_reg", True)])
     def test_non_integer_size(self, checkpoint, key, value):
         self.rewrite_meta(checkpoint,
                           lambda meta: meta["config"].update({key: value}))
@@ -498,9 +499,35 @@ NAN, INF = float("nan"), float("inf")
     (lambda: AugmentConfig(translate_range=(-INF, 0.2)), "translate_range"),
     (lambda: ModelConfig(num_parts=3, lambda_reg=NAN), "lambda_reg"),
     (lambda: ModelConfig(num_parts=3, lambda_reg=INF), "lambda_reg"),
+    # a bool or a string is no number; a range needs two of them
+    (lambda: TrainConfig(epochs=1, learning_rate=True),
+     "learning_rate must be a real number, got True"),
+    (lambda: TrainConfig(epochs=1, learning_rate="0.1"),
+     "learning_rate must be a real number, got '0.1'"),
+    (lambda: TrainConfig(epochs=1, beta1=False),
+     "beta1 must be a real number, got False"),
+    (lambda: TrainConfig(epochs=1, beta2="0.9"),
+     "beta2 must be a real number, got '0.9'"),
+    (lambda: TrainConfig(epochs=1, epsilon_adam=True),
+     "epsilon_adam must be a real number, got True"),
+    (lambda: AugmentConfig(jitter_sigma=True),
+     "jitter_sigma must be a real number, got True"),
+    (lambda: AugmentConfig(scale_range=(True, 2)),
+     "scale_range must be a real number, got True"),
+    (lambda: AugmentConfig(translate_range=("-0.2", 0.2)),
+     "translate_range must be a real number, got '-0.2'"),
+    (lambda: AugmentConfig(scale_range=5),
+     r"scale_range must be two values low <= high, got \(5,\)"),
+    (lambda: AugmentConfig(rotate_up_axis="no"),
+     "rotate_up_axis must be true or false, got 'no'"),
+    (lambda: AugmentConfig(up_axis=True), "up_axis must be an integer"),
+    (lambda: AugmentConfig(up_axis=1.0), "up_axis must be an integer"),
 ], ids=["nan-rate", "inf-rate", "nan-eps", "inf-eps", "negative-eps",
         "zero-eps", "nan-jitter", "inf-jitter", "nan-scale", "inf-scale",
-        "nan-translate", "inf-translate", "nan-lambda", "inf-lambda"])
+        "nan-translate", "inf-translate", "nan-lambda", "inf-lambda",
+        "bool-rate", "string-rate", "bool-beta1", "string-beta2", "bool-eps",
+        "bool-jitter", "bool-scale", "string-translate", "scalar-scale",
+        "string-rotate", "bool-up-axis", "float-up-axis"])
 def test_config_rejects_non_finite_and_out_of_range(build, field):
     with pytest.raises(ConfigError, match=field):
         build()
