@@ -1,5 +1,6 @@
 import configparser
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,28 @@ def synth(tmp_path, shapes="lamp", count=3, test_count=0, val_count=0):
 
 def find_run_dirs(out):
     return sorted(p for p in out.iterdir() if p.name.startswith("run-"))
+
+
+HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.txt")
+
+
+def help_screens(monkeypatch, capsys):
+    """`pignet -h`, then each subcommand's `-h`, at 80 columns, each after a
+    `$ pignet ... -h` line."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    screens = []
+    for argv in ([], ["train"], ["eval"], ["predict"], ["ablate"],
+                 ["robustness"], ["synth"], ["inspect"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "-h"])
+        assert exit_.value.code == 0
+        screens.append(f"$ pignet {' '.join([*argv, '-h'])}\n"
+                       + capsys.readouterr().out)
+    return "".join(screens)
+
+
+def test_help_golden(monkeypatch, capsys):
+    assert help_screens(monkeypatch, capsys) == HELP_GOLDEN.read_text()
 
 
 TINY_MODEL_FLAGS = ["--plan", "4,8", "--points", "24", "--num-parts", "3"]

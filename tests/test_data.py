@@ -11,6 +11,18 @@ from pignet.data import (AugmentConfig, LAMP_POLE_HEIGHT, LAMP_POLE_RADIUS,
 from pignet.errors import (DataError, DegenerateError, ParseError, UsageError)
 
 
+def awkward_coordinates():
+    """Signed zeros, magnitudes from 1e-9 to 1e6, and values that round at
+    the sixth decimal, as an (n, 3) array."""
+    rng = np.random.default_rng(11)
+    magnitudes = np.logspace(-9, 6, 46) * rng.uniform(0.5, 1.5, 46)
+    values = np.concatenate([
+        [0.0, -0.0, 5e-7, -5e-7, 4.9999995e-7, 1.0000005, 0.1234565,
+         999999.9999995, 1e6, -1e6, 1e-9, -1e-9],
+        magnitudes, -magnitudes, rng.normal(size=30)])
+    return values[:len(values) // 3 * 3].reshape(-1, 3)
+
+
 def make_cloud(n=32, seed=0, labels=True):
     rng = np.random.default_rng(seed)
     return PointCloud(rng.normal(size=(n, 3)),
@@ -82,6 +94,20 @@ class TestLoadSave:
         with pytest.raises(ParseError) as err:
             load_cloud(path)
         assert str(path) in str(err.value)
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        """save_cloud writes, byte for byte, what the per-row f-string
+        writer it replaced wrote; that writer is kept here as the reference."""
+        points = awkward_coordinates()
+        labels = np.arange(len(points)) % 23  # part ids of 8 and above
+        save_cloud(PointCloud(points, labels), tmp_path / "c.pts",
+                   tmp_path / "c.seg")
+        expected_points = "".join(f"{x:.6f} {y:.6f} {z:.6f}\n"
+                                  for x, y, z in points)
+        expected_labels = "".join(f"{int(v)}\n" for v in labels)
+        assert (tmp_path / "c.pts").read_text() == expected_points
+        assert (tmp_path / "c.seg").read_text() == expected_labels
+        assert "-0.000000\n" in expected_points.replace(" ", "\n")
 
     def test_roundtrip_six_decimals(self, tmp_path):
         cloud = make_cloud(20, seed=1)

@@ -320,6 +320,27 @@ class TestPly:
             assert tuple(int(v) for v in fields[3:]) == \
                 PART_PALETTE[label % len(PART_PALETTE)]
 
+    def test_bytes_match_reference_writer(self, tmp_path):
+        """write_ply writes, byte for byte, what the per-row f-string writer
+        it replaced wrote; that writer is kept here as the reference."""
+        rng = np.random.default_rng(5)
+        points = np.concatenate([
+            [[0.0, -0.0, 1e-9], [-1e-9, 5e-7, -5e-7], [1e6, -1e6, 999999.5]],
+            np.logspace(-9, 6, 60).reshape(20, 3) * rng.choice([-1, 1],
+                                                               (20, 3)),
+            rng.normal(size=(10, 3))])
+        part_ids = np.arange(len(points)) - 3  # -3 .. 29: 8 and above wrap
+        write_ply(tmp_path / "shape.ply", points, part_ids)
+        expected = ("ply\nformat ascii 1.0\n"
+                    f"element vertex {len(points)}\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "property uchar red\nproperty uchar green\n"
+                    "property uchar blue\nend_header\n")
+        for (x, y, z), part in zip(points, part_ids):
+            r, g, b = PART_PALETTE[int(part) % len(PART_PALETTE)]
+            expected += f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}\n"
+        assert (tmp_path / "shape.ply").read_text() == expected
+
     def test_label_count_checked(self, tmp_path):
         with pytest.raises(DataError):
             write_ply(tmp_path / "x.ply", np.zeros((3, 3)), np.zeros(2))
