@@ -36,8 +36,6 @@ _CLI_DEFAULTS = {
     "model": {"num_parts": "auto"},
     "train": {"epochs": 50},
 }
-_BOOLS = {**dict.fromkeys(("on", "true", "1", "yes"), True),
-          **dict.fromkeys(("off", "false", "0", "no"), False)}
 _EXPECTED = {bool: ("on/off", None), int: ("an integer", "integers"),
              float: ("a number", "numbers")}
 
@@ -83,8 +81,9 @@ def _parse(section, key, raw):
     many = isinstance(kind, tuple)
     item = kind[0] if many else kind
     texts = [v for v in raw.split(",") if v.strip()] if many else [raw]
+    words = configparser.ConfigParser.BOOLEAN_STATES
     try:
-        values = tuple(_BOOLS[v.strip().lower()] if item is bool else item(v)
+        values = tuple(words[v.strip().lower()] if item is bool else item(v)
                        for v in texts)
     except (KeyError, ValueError):
         one, several = _EXPECTED[item]
@@ -286,7 +285,6 @@ def cmd_train(args):
             fh.write(f"{entry['epoch']}\t{entry['train_loss']:.8f}\t"
                      f"{'' if val is None else f'{val:.6f}'}\n")
     log(f"checkpoint written to {run_dir / 'checkpoint.ckpt'}")
-    return 0
 
 
 def cmd_eval(args):
@@ -299,7 +297,6 @@ def cmd_eval(args):
     (run_dir / "summary.txt").write_text(report.summary())
     print(report.summary(), end="")
     print(f"report written to {run_dir}")
-    return 0
 
 
 def cmd_predict(args):
@@ -314,7 +311,6 @@ def cmd_predict(args):
                                        cfg.train_config.seed, i, cfg.points)
         write_ply(ply_dir / f"{rec.shape_id}.ply", sampled.points, pred)
     print(f"{len(records)} colored predictions written to {ply_dir}")
-    return 0
 
 
 def cmd_ablate(args):
@@ -331,7 +327,6 @@ def cmd_ablate(args):
                             f"{row.name}: instance mIoU {row.instance_miou:.4f}"))
     (run_dir / "ablation.tsv").write_text(ablation_tsv(rows))
     log(f"ablation table written to {run_dir / 'ablation.tsv'}")
-    return 0
 
 
 def cmd_robustness(args):
@@ -348,7 +343,6 @@ def cmd_robustness(args):
         print(f"{name}:")
         print(robustness_tsv(grid), end="")
     print(f"grids written to {run_dir}")
-    return 0
 
 
 def cmd_synth(args):
@@ -377,7 +371,6 @@ def cmd_synth(args):
         manifest.write(fh)
     print(f"synthetic dataset written to {root} "
           f"({args.count} train shapes per category)")
-    return 0
 
 
 def cmd_inspect(args):
@@ -397,7 +390,38 @@ def cmd_inspect(args):
              if model_config.feature_reduce else ""))
     print(f"head widths: {model_config.head_widths} -> {model_config.num_parts}")
     print(f"total parameters: {total}")
-    return 0
+
+
+_SPLIT = ("--split", dict(choices=["train", "val", "test"], default="test"))
+_CHECKPOINT = ("--checkpoint", dict(type=str, required=True))
+
+# (name, command, help, its own flags); every command but synth also takes
+# --config and the _FLAGS
+_COMMANDS = [
+    ("train", cmd_train, "train one per-category model", []),
+    ("eval", cmd_eval, "evaluate a checkpoint", [_CHECKPOINT, _SPLIT]),
+    ("predict", cmd_predict, "export colored PLY predictions",
+     [_CHECKPOINT, _SPLIT]),
+    ("ablate", cmd_ablate, "train and compare architecture variants",
+     [_SPLIT]),
+    ("robustness", cmd_robustness,
+     "density/noise robustness grid for checkpoints",
+     [_CHECKPOINT, ("--baseline-checkpoint", dict(type=str, default=None)),
+      _SPLIT]),
+    ("synth", cmd_synth, "generate a labeled synthetic dataset", [
+        ("--shapes", dict(type=str, required=True,
+                          help="comma-separated shape categories "
+                               f"({', '.join(sorted(SYNTH_PARTS))})")),
+        ("--count", dict(type=int, default=8,
+                         help="training shapes per category")),
+        ("--val-count", dict(type=int, default=0)),
+        ("--test-count", dict(type=int, default=0)),
+        ("--cloud-points", dict(type=int, default=2048,
+                                help="points generated per shape")),
+        ("--seed", dict(type=int, default=0)),
+        ("--out", dict(type=str, required=True))]),
+    ("inspect", cmd_inspect, "print parameter count and layout", []),
+]
 
 
 def build_parser():
@@ -405,68 +429,22 @@ def build_parser():
         prog="pignet",
         description="Point-cloud part segmentation: train, evaluate, ablate.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None,
-                       help="INI config file; flags override it")
-        for flag, _, _, options in _FLAGS:
-            p.add_argument(flag, default=None, **options)
-
-    p = sub.add_parser("train", help="train one per-category model")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="export colored PLY predictions")
-    common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("ablate", help="train and compare architecture variants")
-    common(p)
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("robustness",
-                       help="density/noise robustness grid for checkpoints")
-    common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--baseline-checkpoint", type=str, default=None)
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p.add_argument("--shapes", type=str, required=True,
-                   help="comma-separated shape categories "
-                        f"({', '.join(sorted(SYNTH_PARTS))})")
-    p.add_argument("--count", type=int, default=8,
-                   help="training shapes per category")
-    p.add_argument("--val-count", type=int, default=0)
-    p.add_argument("--test-count", type=int, default=0)
-    p.add_argument("--cloud-points", type=int, default=2048,
-                   help="points generated per shape")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("inspect", help="print parameter count and layout")
-    common(p)
-    p.set_defaults(func=cmd_inspect)
-
+    shared = [("--config", dict(type=str, default=None,
+                                help="INI config file; flags override it")),
+              *((flag, dict(default=None, **options))
+                for flag, _, _, options in _FLAGS)]
+    for name, func, help_text, own in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in (own if name == "synth" else shared + own):
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -476,6 +454,7 @@ def main(argv=None):
     except (PignetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry():

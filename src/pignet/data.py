@@ -72,8 +72,8 @@ def load_cloud(points_path, labels_path=None, category=""):
     """Parse a points file (and optional labels file) into a PointCloud.
 
     Empty files, bytes that are not UTF-8, non-finite coordinates (``nan``,
-    ``inf``) and negative labels raise a ParseError naming the file, and the
-    line where there is one.
+    ``inf``) and labels that are negative or exceed int64 raise a ParseError
+    naming the file, and the line where there is one.
     """
     lines = _numbered_lines(points_path)
     points = []
@@ -107,6 +107,9 @@ def load_cloud(points_path, labels_path=None, category=""):
                     f"{labels_path}:{lineno}: not an integer label: {line!r}")
             if label < 0:
                 raise ParseError(f"{labels_path}:{lineno}: negative label {label}")
+            if label > np.iinfo(np.int64).max:
+                raise ParseError(
+                    f"{labels_path}:{lineno}: label {label} exceeds int64")
             labels.append(label)
         if len(labels) != len(points):
             raise DataError(
@@ -118,15 +121,11 @@ def load_cloud(points_path, labels_path=None, category=""):
 
 def save_cloud(cloud, points_path, labels_path=None):
     """Write a cloud back to disk; coordinates keep six decimals."""
-    with open(points_path, "w") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
+    np.savetxt(points_path, cloud.points, fmt="%.6f")
     if labels_path is not None:
         if cloud.labels is None:
             raise UsageError("cloud has no labels to save")
-        with open(labels_path, "w") as fh:
-            for v in cloud.labels:
-                fh.write(f"{int(v)}\n")
+        np.savetxt(labels_path, cloud.labels, fmt="%d")
 
 
 def normalize(cloud):

@@ -239,12 +239,10 @@ def write_ply(path, points, part_ids):
         raise DataError(f"points must be (n, 3), got {points.shape}")
     if part_ids.shape != (points.shape[0],):
         raise DataError("one part id per point is required")
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {points.shape[0]}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for (x, y, z), part in zip(points, part_ids):
-            r, g, b = PART_PALETTE[int(part) % len(PART_PALETTE)]
-            fh.write(f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}\n")
+    colors = np.array(PART_PALETTE)[part_ids % len(PART_PALETTE)]
+    np.savetxt(path, np.column_stack([points, colors]),
+               fmt="%.6f %.6f %.6f %d %d %d", comments="",
+               header=f"ply\nformat ascii 1.0\nelement vertex {len(points)}\n"
+               "property float x\nproperty float y\nproperty float z\n"
+               "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+               "end_header")

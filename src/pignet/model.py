@@ -61,9 +61,9 @@ class ModelConfig:
                                   f"got {getattr(self, name)!r}")
         if self.arch not in ("pignet", "pointnet"):
             raise ConfigError(f"unknown arch {self.arch!r}")
-        if _integer("num_parts", self.num_parts) < 2:
+        if self._builtin("num_parts", _integer) < 2:
             raise ConfigError(f"num_parts must be >= 2, got {self.num_parts}")
-        if not 0 <= _real("lambda_reg", self.lambda_reg) < np.inf:
+        if not 0 <= self._builtin("lambda_reg", _real) < np.inf:
             raise ConfigError(
                 f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
         if not self.inception_plan:
@@ -76,14 +76,20 @@ class ModelConfig:
             if w < 1:
                 raise ConfigError(f"layer widths must be positive, got {w}")
         if (self.feature_reduce is not None
-                and _integer("feature_reduce", self.feature_reduce) < 1):
+                and self._builtin("feature_reduce", _integer) < 1):
             raise ConfigError(
                 f"feature_reduce must be positive, got {self.feature_reduce}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
-        index = _integer("baseline_local_index", self.baseline_local_index)
+        index = self._builtin("baseline_local_index", _integer)
         if not 0 <= index < len(self.baseline_plan):
             raise ConfigError("baseline_local_index outside the conv plan")
+
+    def _builtin(self, name, read):
+        """Store the field as ``read(name, value)`` returns it, so a numpy
+        scalar is kept as its builtin value; return that value."""
+        object.__setattr__(self, name, read(name, getattr(self, name)))
+        return getattr(self, name)
 
 
 def _integer(name, value):
@@ -97,9 +103,10 @@ def _integer(name, value):
 
 
 def _real(name, value):
-    """``value`` itself; a bool or a non-real raises ConfigError."""
+    """``value`` itself, or the builtin value of a numpy scalar; a bool or a
+    non-real raises ConfigError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
+        return value.item() if isinstance(value, np.generic) else value
     raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 

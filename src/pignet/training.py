@@ -24,8 +24,8 @@ from .errors import (CompatibilityError, ConfigError, DataError,
                      DimensionError, DomainError, FormatError)
 from .seeding import AUGMENT, SAMPLE, SHUFFLE, make_rng
 from .tensor import Tensor, backward
-from .model import (_integer, _real, build_model, config_hash,
-                    segmentation_loss)
+from .model import (ModelConfig, _integer, _real, build_model, config_hash,
+                    parameter_count, segmentation_loss)
 from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
@@ -297,7 +297,11 @@ def read_checkpoint(path):
         for extent in shape:
             count *= extent
         raw = grab(8 * count, f"tensor {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # more extents than numpy allows
+            raise FormatError(f"{path} holds tensor {name} of rank {rank}: "
+                              f"{exc}") from None
     if pos != len(view):
         raise FormatError(f"{path} has {len(view) - pos} trailing bytes")
     return meta, arrays
@@ -340,8 +344,8 @@ def _apply_checkpoint(meta, arrays, model, optimizer=None):
 
 def model_from_checkpoint(path):
     """Rebuild the saved configuration and load the weights into it; the
-    model is built without drawing initial weights."""
-    from .model import ModelConfig
+    model is built without drawing initial weights, and only once the
+    configuration's closed-form parameter count matches the file's."""
     meta, arrays = read_checkpoint(path)
     cfg_dict = meta.get("config")
     if not isinstance(cfg_dict, dict):
@@ -351,6 +355,12 @@ def model_from_checkpoint(path):
     except (TypeError, ValueError, ConfigError) as exc:
         raise FormatError(
             f"{path} holds an invalid model configuration: {exc}") from exc
+    stored = sum(array.size for name, array in arrays.items()
+                 if name.startswith("param/"))
+    if parameter_count(config) != stored:
+        raise FormatError(
+            f"{path} holds {stored} parameter values, but its model "
+            f"configuration has {parameter_count(config)}")
     model = build_model(config, seed=None)
     _apply_checkpoint(meta, arrays, model)
     return model

@@ -1,4 +1,6 @@
 import configparser
+import json
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
@@ -7,12 +9,13 @@ import pytest
 import pignet.cli
 import pignet.data
 import pignet.evaluation
+import pignet.training
 from pignet.cli import main, load_run_config
 from pignet.data import load_split
 from pignet.errors import ConfigError
 from pignet.evaluation import PART_PALETTE
-from pignet.model import parameter_count
-from pignet.training import model_from_checkpoint
+from pignet.model import ModelConfig, build_model, parameter_count
+from pignet.training import MAGIC, model_from_checkpoint, save_checkpoint
 
 
 def run(args):
@@ -488,6 +491,36 @@ def test_unusable_path_exits_1(tmp_path, capsys, lamp_root, command):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_config_disagreeing_with_tensors_exits_1(
+        tmp_path, capsys, lamp_root, monkeypatch):
+    """Checkpoint metadata whose feature_reduce would need 1.7 TB ends in one
+    error line naming the file, before any model is built."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_model(ModelConfig(
+        num_parts=3, inception_plan=(4, 8), tnet_conv_widths=(4, 8, 16),
+        tnet_fc_widths=(8, 8), head_widths=(8, 8)), seed=0))
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[len(MAGIC):len(MAGIC) + 4])
+    meta = json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + length])
+    meta["config"]["feature_reduce"] = 153925
+    meta_bytes = json.dumps(meta).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                     + blob[len(MAGIC) + 4 + length:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_model called")
+
+    monkeypatch.setattr(pignet.training, "build_model", refuse)
+    capsys.readouterr()
+    assert run(["eval", "--config", tiny_config_file(tmp_path), "--data-root",
+                lamp_root, "--category", "lamp", "--split", "train",
+                "--checkpoint", path, "--out", tmp_path / "runs"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path} holds ")
     assert "Traceback" not in err
 
 

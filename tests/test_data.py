@@ -78,6 +78,18 @@ class TestLoadSave:
             load_cloud(pts, seg)
         assert str(err.value) == f"{seg}:3: negative label -1"
 
+    @pytest.mark.parametrize("label", [2**63, 2**64])
+    def test_label_beyond_int64_names_line(self, tmp_path, label):
+        """2**63 used to wrap to a negative label, 2**64 to raise a raw
+        OverflowError."""
+        pts = tmp_path / "c.pts"
+        seg = tmp_path / "c.seg"
+        pts.write_text("0 0 0\n1 1 1\n")
+        seg.write_text(f"{2**63 - 1}\n{label}\n")
+        with pytest.raises(ParseError) as err:
+            load_cloud(pts, seg)
+        assert str(err.value) == f"{seg}:2: label {label} exceeds int64"
+
     @pytest.mark.parametrize("bad", ["points", "labels"])
     def test_non_utf8_bytes_name_line(self, tmp_path, bad):
         paths = {"points": tmp_path / "c.pts", "labels": tmp_path / "c.seg"}

@@ -7,11 +7,12 @@ import types
 import numpy as np
 import pytest
 
+import pignet.training
 from pignet.data import AugmentConfig, write_synth_dataset, load_split
 from pignet.errors import (CompatibilityError, ConfigError, DataError,
                            DimensionError, DomainError, FormatError)
 from pignet.evaluation import evaluate_split
-from pignet.model import ModelConfig, build_model
+from pignet.model import ModelConfig, build_model, config_hash
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor
 from pignet.training import (MAGIC, AdamOptimizer, TrainConfig,
@@ -385,6 +386,37 @@ class TestCheckpointLoadPath:
         assert str(path) in str(err.value)
 
 
+class TestNumpyScalarConfig:
+    """numpy scalars are stored as their builtin values."""
+
+    NUMPY = dict(num_parts=np.int64(3), lambda_reg=np.float32(0.1),
+                 feature_reduce=np.int32(4), baseline_local_index=np.int16(1))
+    BUILTIN = dict(num_parts=3, lambda_reg=float(np.float32(0.1)),
+                   feature_reduce=4, baseline_local_index=1)
+
+    def test_hashes_like_builtin_twin(self):
+        config = tiny_model_config(**self.NUMPY)
+        assert config == tiny_model_config(**self.BUILTIN)
+        assert all(type(getattr(config, name)) is type(value)
+                   for name, value in self.BUILTIN.items())
+        assert config_hash(config) == \
+            config_hash(tiny_model_config(**self.BUILTIN))
+
+    def test_builtin_values_kept_as_given(self):
+        config = tiny_model_config(lambda_reg=0)
+        assert type(config.lambda_reg) is int
+        assert config_hash(config) != config_hash(
+            tiny_model_config(lambda_reg=0.0))
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        model = build_model(tiny_model_config(**self.NUMPY), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        restored = model_from_checkpoint(path)
+        assert restored.config == tiny_model_config(**self.BUILTIN)
+        assert parameter_hash(restored) == parameter_hash(model)
+
+
 class TestCorruptMetadata:
     @staticmethod
     def rewrite_meta(path, edit):
@@ -453,6 +485,39 @@ class TestCorruptMetadata:
                           lambda meta: meta.update(tensor_count=count))
         self.assert_rejected(read_checkpoint, checkpoint)
         self.assert_rejected(model_from_checkpoint, checkpoint)
+
+    def test_tensor_rank_beyond_numpy(self, tmp_path):
+        """65 zero extents fit in the file, but numpy allows 64 dimensions."""
+        meta_bytes = json.dumps({"tensor_count": 1}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + struct.pack("<I", 1) + b"w" + struct.pack("<I", 65)
+                         + bytes(8 * 65))
+        self.assert_rejected(read_checkpoint, path)
+        self.assert_load_rejected_untouched(path)
+
+    @pytest.mark.parametrize("rehash", [False, True],
+                             ids=["stale-hash", "matching-hash"])
+    def test_config_disagreeing_with_tensors_refused_before_building(
+            self, checkpoint, monkeypatch, rehash):
+        """A feature_reduce of 153925 gives 213,243,232,579 parameters, 1.7 TB
+        as float64; that closed-form count is not the file's, so nothing is
+        built."""
+        def edit(meta):
+            meta["config"]["feature_reduce"] = 153925
+            if rehash:
+                meta["config_hash"] = config_hash(ModelConfig(**meta["config"]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model called")
+
+        self.rewrite_meta(checkpoint, edit)
+        monkeypatch.setattr(pignet.training, "build_model", refuse)
+        with pytest.raises(FormatError) as err:
+            model_from_checkpoint(checkpoint)
+        assert str(err.value) == (
+            f"{checkpoint} holds 7068 parameter values, but its model "
+            "configuration has 213243232579")
 
     def assert_load_rejected_untouched(self, path):
         model = build_model(tiny_model_config(), seed=1)
