@@ -53,7 +53,7 @@ LABEL_LINES = st.one_of(LABEL, LABEL, LABEL, JUNK)
 
 
 @pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
+def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
@@ -69,15 +69,15 @@ def cloud_files(draw):
                 lambda lines: st.none() if lines is None else as_file(lines))))
 
 
-@fuzz(1000)
+@fuzz(600)
 @given(files=cloud_files())
-def test_load_cloud_raises_only_pignet_errors(scratch, files):
+def test_load_cloud_raises_only_pignet_errors(workdir, files):
     points, labels = files
-    (scratch / "c.pts").write_bytes(points)
-    (scratch / "c.seg").write_bytes(labels or b"")
+    (workdir / "c.pts").write_bytes(points)
+    (workdir / "c.seg").write_bytes(labels or b"")
     try:
-        cloud = load_cloud(scratch / "c.pts",
-                           None if labels is None else scratch / "c.seg")
+        cloud = load_cloud(workdir / "c.pts",
+                           None if labels is None else workdir / "c.seg")
     except PignetError:
         return
     assert cloud.n >= 1 and np.isfinite(cloud.points).all()
@@ -110,10 +110,10 @@ def ini_files(draw):
     return draw(as_file(lines))
 
 
-@fuzz(1000)
+@fuzz(600)
 @given(text=ini_files())
-def test_load_run_config_raises_only_pignet_errors(scratch, text):
-    path = scratch / "run.ini"
+def test_load_run_config_raises_only_pignet_errors(workdir, text):
+    path = workdir / "run.ini"
     path.write_bytes(text)
     try:
         cfg = load_run_config(path)
@@ -129,10 +129,10 @@ def tiny_config():
 
 
 @pytest.fixture(scope="module")
-def saved(scratch):
+def saved(workdir):
     """The checkpoint of a tiny model with Adam state."""
     model = build_model(tiny_config(), seed=0)
-    path = scratch / "saved.ckpt"
+    path = workdir / "saved.ckpt"
     save_checkpoint(path, model, AdamOptimizer.for_model(
         model, TrainConfig(epochs=1)), epoch=2)
     return path
@@ -206,10 +206,10 @@ def edited(blob, offsets, edit):
     return MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[end:]
 
 
-@fuzz(1000)
+@fuzz(600)
 @given(edit=EDITS)
-def test_edited_checkpoint_raises_only_pignet_errors(scratch, saved, edit):
-    path = scratch / "edited.ckpt"
+def test_edited_checkpoint_raises_only_pignet_errors(workdir, saved, edit):
+    path = workdir / "edited.ckpt"
     path.write_bytes(edited(*layout(saved), edit))
     model = build_model(tiny_config(), seed=1)
     before = parameter_hash(model)
