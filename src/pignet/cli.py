@@ -124,8 +124,9 @@ class RunConfig:
 def _read_ini(path):
     """Parse an INI file; malformed syntax or bytes raise ConfigError naming
     the file and, where there is one, the line. Values are literal: a '%'
-    is not an interpolation."""
-    parser = configparser.ConfigParser(interpolation=None)
+    is not an interpolation, and ``[DEFAULT]`` is an ordinary section (no
+    header names the empty one), so it cannot feed keys to the others."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file(utf8_lines(path), source=str(path))
     except FileNotFoundError as exc:
@@ -451,8 +452,8 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 1
-    except (PignetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PignetError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -65,16 +65,8 @@ class Module:
         scale, shift = bn._eval_affine()
         np.multiply(out.data, scale.data, out=out.data)
         np.add(out.data, shift.data, out=out.data)
-        return _relu_fresh(out)
-
-
-def _relu_fresh(x):
-    """``relu(x)`` for an ``x`` whose buffer nothing else holds: in place
-    when no graph is recorded."""
-    if recording():
-        return relu(x)
-    np.maximum(x.data, 0, out=x.data)
-    return x
+        np.maximum(out.data, 0, out=out.data)
+        return out
 
 
 class PointwiseConv(Module):
@@ -107,12 +99,7 @@ class PointwiseConv(Module):
                 f"layer expects {self.d_in} input channels, got shape "
                 f"{features.shape}")
         out = matmul(features, self.weight)
-        if self.bias is None:
-            return out
-        if recording():
-            return out + self.bias
-        np.add(out.data, self.bias.data, out=out.data)
-        return out
+        return out if self.bias is None else out + self.bias
 
 
 class BatchNorm(Module):
@@ -298,7 +285,7 @@ class TNet(Ladder):
         x = reshape(features, (1,) + tuple(features.shape)) if single else features
         pooled = reduce_max(super().__call__(x, training), axis=-2)
         for fc in self._numbered("fc"):
-            pooled = _relu_fresh(fc(pooled))
+            pooled = relu(fc(pooled))
         flat = self.out(pooled)
         mats = reshape(flat, (flat.shape[0], self.k, self.k))
         if single:

@@ -79,7 +79,7 @@ class ModelConfig:
                 and self._builtin("feature_reduce", _integer) < 1):
             raise ConfigError(
                 f"feature_reduce must be positive, got {self.feature_reduce}")
-        if self.dtype not in DTYPES:
+        if not isinstance(self.dtype, str) or self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
         index = self._builtin("baseline_local_index", _integer)
         if not 0 <= index < len(self.baseline_plan):

@@ -284,13 +284,7 @@ def reduce_max(a, axis):
     peak = a.data.max(axis=axis)
 
     def rule(g):
-        # the first occurrence on ties; matching the maximum is about twice
-        # as fast as argmax along a strided axis, but no NaN matches, so
-        # NaN input keeps argmax's choice of its first NaN
-        if np.isnan(peak).any():
-            idx = a.data.argmax(axis=axis)
-        else:
-            idx = (a.data == np.expand_dims(peak, axis)).argmax(axis=axis)
+        idx = a.data.argmax(axis=axis)  # the first occurrence on ties
         gx = np.zeros_like(a.data)
         np.put_along_axis(gx, np.expand_dims(idx, axis),
                           np.expand_dims(g, axis), axis)

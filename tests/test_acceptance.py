@@ -74,6 +74,7 @@ def overfit(synth_root):
 # 1. gradient correctness
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion1Gradients:
     def test_layers_and_full_model(self):
         start = time.perf_counter()
@@ -292,6 +293,7 @@ class TestCriterion4Miou:
 # 5. desk-scale overfit
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion5Overfit:
     def test_overfit_thresholds(self, overfit):
         trained, elapsed = overfit
@@ -352,6 +354,7 @@ class TestCriterion6Ablation:
 # ---------------------------------------------------------------------------
 
 class TestCriterion7Robustness:
+    @pytest.mark.slow
     def test_grid(self, overfit, synth_root):
         trained, _ = overfit
         split, model = trained["lamp"]

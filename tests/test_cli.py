@@ -294,6 +294,17 @@ def test_oversized_model_refused_before_building(tmp_path, capsys, lamp_root,
     assert not (tmp_path / "runs").exists()
 
 
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, lamp_root,
+                                            monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+    monkeypatch.setattr(pignet.cli, "train_category", exhaust)
+    assert run(tiny_train_args(tmp_path, lamp_root)) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 2.98 GiB for an array\n")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
 def test_non_finite_loss_exits_1_without_checkpoint(tmp_path, capsys,
                                                     lamp_root):
@@ -431,6 +442,13 @@ class TestTrainEvalPredict:
         code = run(["train", "--data-root", tmp_path / "nope", "--category",
                     "lamp", "--epochs", "1", "--out", tmp_path / "runs"])
         assert code != 0
+
+    def test_no_data_root_exits_2(self, tmp_path, capsys):
+        assert run(["train", "--category", "lamp", "--epochs", "1",
+                    "--out", tmp_path / "runs"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --data-root is required (flag or config file)\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_negative_label_exits_1_naming_the_line(self, tmp_path, capsys):
         root = synth(tmp_path, count=2)
@@ -613,6 +631,21 @@ class TestConfigFile:
         assert err.startswith("config error:")
         assert f"{config}:{line}:" in err
 
+    @pytest.mark.parametrize("content", [
+        "[DEFAULT]\nseed = 3\n",
+        "[DEFAULT]\npoints = 3\n[model]\narch = pignet\n",
+    ], ids=["alone", "beside-model"])
+    def test_default_section_is_refused(self, tmp_path, capsys, content):
+        config = tmp_path / "c.ini"
+        config.write_text(content)
+        with pytest.raises(ConfigError) as err:
+            load_run_config(config)
+        assert str(err.value) == "unknown config section [DEFAULT]"
+        assert run(["train", "--config", config, "--out",
+                    tmp_path / "runs"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown config section [DEFAULT]\n")
+
     def test_percent_sign_is_literal_and_round_trips(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text("[data]\nroot = data%1\n")
@@ -693,6 +726,7 @@ class TestInspect:
 
 
 class TestFullPipeline:
+    @pytest.mark.slow
     def test_synth_train_eval_overfits_train_split(self, tmp_path):
         """The documented front-door recipe: synthesize 8 lamps, train a
         reduced model for 300 epochs, and reach instance mIoU >= 0.95 on the
@@ -735,14 +769,20 @@ class TestAblateRobustness:
         run(["train", "--config", config, "--data-root", root, "--category",
              "lamp", "--epochs", "1", "--out", out] + TINY_MODEL_FLAGS)
         checkpoint = find_run_dirs(out)[0] / "checkpoint.ckpt"
+        assert run(["train", "--config", config, "--data-root", root,
+                    "--category", "lamp", "--epochs", "1", "--out", out,
+                    "--arch", "pointnet"] + TINY_MODEL_FLAGS) == 0
+        baseline = find_run_dirs(out)[1] / "checkpoint.ckpt"
         code = run(["robustness", "--config", config, "--data-root", root,
                     "--category", "lamp", "--checkpoint", checkpoint,
+                    "--baseline-checkpoint", baseline,
                     "--split", "train", "--out", out, "--points", "24"])
         assert code == 0
-        grid_file = find_run_dirs(out)[-1] / "robustness_pignet.tsv"
-        lines = grid_file.read_text().strip().split("\n")
-        assert len(lines) == 5  # header + 4 density rows
-        assert lines[0].count("\t") == 5  # 5 sigma columns
+        for name in ("pignet", "pointnet"):
+            grid_file = find_run_dirs(out)[-1] / f"robustness_{name}.tsv"
+            lines = grid_file.read_text().strip().split("\n")
+            assert len(lines) == 5  # header + 4 density rows
+            assert all(line.count("\t") == 5 for line in lines)  # 6 columns
 
 
 class TestNumPartsResolution:

@@ -500,6 +500,11 @@ class TestConfig:
                 ModelConfig(num_parts=3, lambda_reg=value)
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, dtype="float16")
+        for value in ([], {}):
+            with pytest.raises(ConfigError) as err:
+                ModelConfig(num_parts=3, dtype=value)
+            assert str(err.value) == (
+                f"dtype must be float32 or float64, got {value}")
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, arch="transformer")
         with pytest.raises(ConfigError,
