@@ -284,7 +284,7 @@ def reduce_max(a, axis):
     peak = a.data.max(axis=axis)
 
     def rule(g):
-        idx = a.data.argmax(axis=axis)  # the first occurrence on ties
+        idx = a.data.argmax(axis=axis)
         gx = np.zeros_like(a.data)
         np.put_along_axis(gx, np.expand_dims(idx, axis),
                           np.expand_dims(g, axis), axis)
