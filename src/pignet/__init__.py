@@ -6,7 +6,7 @@ from .tensor import (Tensor, backward, concat, finite_diff_check, matmul,
 from .layers import (BatchNorm, Ladder, Module, PointwiseConv, TNet,
                      channel_window_max, global_average_pool, max_over_points,
                      orthogonality_regularizer)
-from .inception import InceptionLayer, InceptionStack, PlainConvStack
+from .inception import InceptionLayer, InceptionStack
 from .model import (ModelConfig, PigNet, PointNetBaseline, build_model,
                     config_hash, count_parameters, parameter_count,
                     segmentation_loss)

@@ -242,24 +242,36 @@ def _resolve_parts(cfg, split):
     return configured
 
 
-def _preflight(config):
-    """Refuse a model whose weights, gradients and two Adam moments would not
-    fit in physical memory; the count is closed form, nothing is built."""
-    count = parameter_count(config)
-    need = 4 * count * np.dtype(config.dtype).itemsize
+def _preflight(config, cfg, shapes):
+    """Refuse, before anything is made, a run that cannot fit in physical
+    memory: the weights, gradients and two Adam moments of ``config`` (closed
+    form, nothing is built), then a lower bound on the samples, the points of
+    ``shapes`` training shapes (float64 xyz and an int64 label) and one batch
+    of the input T-Net's widest rung."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    itemsize = np.dtype(config.dtype).itemsize
+    count = parameter_count(config)
+    need = 4 * count * itemsize
     if need > memory:
         raise ConfigError(
             f"{count} parameters need {need / 2**30:.1f} GiB for weights, "
             f"gradients and Adam moments, more than the {memory / 2**30:.1f} "
             "GiB of memory here; set [model] feature_reduce, e.g. to 64")
+    batch = min(cfg.train_config.batch_size, shapes)
+    widest = max(config.tnet_conv_widths, default=3)
+    need = cfg.points * (shapes * 32 + batch * widest * itemsize)
+    if need > memory:
+        raise ConfigError(
+            f"[data] points = {cfg.points} needs at least {need / 2**30:.1f} "
+            f"GiB for {shapes} sampled shapes and one batch of activations, "
+            f"more than the {memory / 2**30:.1f} GiB of memory here")
 
 
 def cmd_train(args):
     cfg, split = _config_and_split(args)
     num_parts = _resolve_parts(cfg, split)
     model_config = cfg.model_config(num_parts)
-    _preflight(model_config)
+    _preflight(model_config, cfg, len(split.train))
     run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)
     log(f"training {model_config.arch} on {cfg.category!r} "
@@ -318,7 +330,7 @@ def cmd_ablate(args):
     cfg, split = _config_and_split(args)
     model_config = cfg.model_config(_resolve_parts(cfg, split))
     _preflight(max((config for _, config in ablation_variants(model_config)),
-                   key=parameter_count))
+                   key=parameter_count), cfg, len(split.train))
     eval_records = split.records(args.split) or split.train
     run_dir = _make_run_dir(cfg)
     log = _logger(run_dir)

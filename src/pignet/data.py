@@ -403,11 +403,21 @@ class DatasetSplit:
 
 
 def _read_manifest(path):
+    """The shape ids of a split manifest; an id that is not one plain file
+    name (it holds '/', or is '.' or '..') raises DataError naming the line."""
     if not path.exists():
         return []
     if not path.is_file():
         raise DataError(f"split manifest is not a file: {path}")
-    return [line.strip() for _, line in _numbered_lines(path)]
+    ids = []
+    for lineno, line in _numbered_lines(path):
+        shape_id = line.strip()
+        if "/" in shape_id or shape_id in (".", ".."):
+            raise DataError(
+                f"{path}:{lineno}: shape id is not a plain file name: "
+                f"{shape_id!r}")
+        ids.append(shape_id)
+    return ids
 
 
 def load_split(root, category):

@@ -4,7 +4,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import concat
-from .layers import Ladder, Module, channel_window_max
+from .layers import Module, channel_window_max
 
 
 class InceptionLayer(Module):
@@ -57,11 +57,3 @@ class InceptionStack(Module):
             features = layer(features, training)
         return features
 
-
-class PlainConvStack(Ladder):
-    """Ablation stack: the same filter plan as plain convolutions, no branches."""
-
-    def __init__(self, plan, rng, c_in=3, dtype=np.float64):
-        if not plan:
-            raise ConfigError("conv plan must not be empty")
-        super().__init__(c_in, plan, rng, dtype)

@@ -20,26 +20,26 @@ class Module:
     """Base of every block: parameters and state are found, not listed.
 
     A parameter is an attribute holding a Tensor that requires a gradient;
-    a child is an attribute holding a Module, and its names get the prefix
-    ``attr/``. Both are walked in assignment order, so checkpoint tensors
-    come in the order the constructors built them.
+    state is an attribute holding a numpy array, as batch norm's running
+    statistics; a child is an attribute holding a Module, and its names get
+    the prefix ``attr/``. One walk finds all three in assignment order, so
+    checkpoint tensors come in the order the constructors built them.
     """
 
-    def named_parameters(self, prefix=""):
-        items = []
+    def _walk(self, kind, prefix=""):
+        """(path, value) of each attribute, the children's included, that
+        holds a ``kind``, in assignment order."""
         for name, value in vars(self).items():
             if isinstance(value, Module):
-                items.extend(value.named_parameters(f"{prefix}{name}/"))
-            elif isinstance(value, Tensor) and value.requires_grad:
-                items.append((prefix + name, value))
-        return items
+                yield from value._walk(kind, f"{prefix}{name}/")
+            elif isinstance(value, kind):
+                yield prefix + name, value
 
-    def named_state(self, prefix=""):
-        items = []
-        for name, value in vars(self).items():
-            if isinstance(value, Module):
-                items.extend(value.named_state(f"{prefix}{name}/"))
-        return items
+    def named_parameters(self):
+        return [(name, p) for name, p in self._walk(Tensor) if p.requires_grad]
+
+    def named_state(self):
+        return list(self._walk(np.ndarray))
 
     def _numbered(self, stem):
         """The children registered as ``stem0``, ``stem1``, ..., in order."""
@@ -180,10 +180,6 @@ class BatchNorm(Module):
 
         return _record(data, (features, gamma, beta),
                        "batch_norm_relu" if fuse_relu else "batch_norm", rule)
-
-    def named_state(self, prefix=""):
-        return [(prefix + "running_mean", self.running_mean),
-                (prefix + "running_var", self.running_var)]
 
 
 class Ladder(Module):

@@ -20,7 +20,7 @@ from .tensor import (Tensor, as_tensor, concat, cross_entropy, no_grad,
                      repeat_rows, reshape)
 from .layers import (Ladder, Module, PointwiseConv, TNet, global_average_pool,
                      max_over_points, orthogonality_regularizer)
-from .inception import InceptionStack, PlainConvStack
+from .inception import InceptionStack
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -182,8 +182,9 @@ class PigNet(_HeadMixin):
 
     def _build_features(self, rng):
         config, dtype = self.config, self.dtype
-        stack = InceptionStack if config.use_inception else PlainConvStack
-        self.stack = stack(config.inception_plan, rng, dtype=dtype)
+        plan = config.inception_plan
+        self.stack = (InceptionStack(plan, rng, dtype=dtype)
+                      if config.use_inception else Ladder(3, plan, rng, dtype))
         width = self.stack.out_channels
         self.reduce = None
         if config.feature_reduce is not None:

@@ -1,6 +1,7 @@
 import configparser
 import json
 import struct
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -234,6 +235,9 @@ def tiny_train_args(tmp_path, root, extra_ini=""):
      "scale_range must be two values low <= high, got ()"),
     (["train"], "[augment]\ntranslate_range = 0.2,-0.2\n",
      "translate_range must be two values low <= high, got (0.2, -0.2)"),
+    (["train"], "[augment]\nscale_range = 0,1\n",
+     "scale range must stay positive, got (0.0, 1.0)"),
+    (["train"], "[augment]\nup_axis = 3\n", "up_axis must be 0, 1 or 2, got 3"),
     (["train"], "[train]\nlearning_rate = nan\n",
      "[train] learning_rate: must be finite, got 'nan'"),
     (["train", "--learning-rate", "inf"], "",
@@ -253,10 +257,10 @@ def tiny_train_args(tmp_path, root, extra_ini=""):
     (["synth", "--test-count", "-1"], None,
      "--test-count must be >= 0, got -1"),
     (["synth", "--shapes", " , "], None, "--shapes names no shape, got ' , '"),
-], ids=["seed", "one-scale", "no-scale", "translate-order", "nan-rate",
-        "inf-rate-flag", "inf-lambda", "nan-jitter", "inf-scale", "empty-plan",
-        "synth-seed", "synth-count", "synth-points", "synth-val",
-        "synth-test", "synth-no-shapes"])
+], ids=["seed", "one-scale", "no-scale", "translate-order", "zero-scale",
+        "up-axis", "nan-rate", "inf-rate-flag", "inf-lambda", "nan-jitter",
+        "inf-scale", "empty-plan", "synth-seed", "synth-count", "synth-points",
+        "synth-val", "synth-test", "synth-no-shapes"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, lamp_root,
                                              argv, extra_ini, message):
     command, *flags = argv
@@ -271,14 +275,19 @@ def test_bad_value_exits_2_before_any_output(tmp_path, capsys, lamp_root,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-def test_oversized_model_refused_before_building(tmp_path, capsys, lamp_root,
-                                                 monkeypatch, command):
+@pytest.fixture
+def no_training(monkeypatch):
+    """Any call of ``train_category`` fails the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("train_category was called")
 
     monkeypatch.setattr(pignet.cli, "train_category", refuse)
     monkeypatch.setattr(pignet.evaluation, "train_category", refuse)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_oversized_model_refused_before_building(tmp_path, capsys, lamp_root,
+                                                 no_training, command):
     args = tiny_train_args(tmp_path, lamp_root,
                            "[model]\nhead_widths = 100000000,1000\n")
     args[0] = command
@@ -292,6 +301,43 @@ def test_oversized_model_refused_before_building(tmp_path, capsys, lamp_root,
         assert 4 * count * 8 > 2 ** 40  # a terabyte and more
         assert f"{count} parameters" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_oversized_sample_refused_before_training(tmp_path, capsys, lamp_root,
+                                                  no_training, command):
+    args = tiny_train_args(tmp_path, lamp_root) + ["--points", "1000000000000"]
+    args[0] = command
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: [data] points = 1000000000000 needs at least ")
+    assert "for 2 sampled shapes and one batch of activations" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_manifest_id_outside_the_category_exits_1(tmp_path, capsys):
+    """A manifest id that climbs out of the category directory is refused
+    before the file it names is read or any prediction is written."""
+    root = synth(tmp_path, count=1)
+    lamp = root / "lamp"
+    for folder, suffix in (("points", "pts"), ("points_label", "seg")):
+        (root / f"evil.{suffix}").write_bytes(
+            (lamp / folder / f"lamp_0000.{suffix}").read_bytes())
+    (lamp / "test.txt").write_text("../../evil\n")
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, build_model(ModelConfig(
+        num_parts=3, inception_plan=(4, 8), tnet_conv_widths=(4, 8, 16),
+        tnet_fc_widths=(8, 8), head_widths=(8, 8)), seed=0))
+    capsys.readouterr()
+    assert run(["predict", "--data-root", root, "--category", "lamp",
+                "--checkpoint", checkpoint, "--split", "test", "--points",
+                "24", "--out", tmp_path / "runs"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lamp / 'test.txt'}:1: shape id is not a plain file name: "
+        "'../../evil'\n")
+    assert not (tmp_path / "runs").exists()
+    assert not list(tmp_path.rglob("*.ply"))
 
 
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, lamp_root,
@@ -443,9 +489,14 @@ class TestTrainEvalPredict:
                     "lamp", "--epochs", "1", "--out", tmp_path / "runs"])
         assert code != 0
 
-    def test_no_data_root_exits_2(self, tmp_path, capsys):
-        assert run(["train", "--category", "lamp", "--epochs", "1",
-                    "--out", tmp_path / "runs"]) == 2
+    def test_no_data_root_exits_2(self, tmp_path, capsys, monkeypatch):
+        # through the console script, which exits with main's status
+        monkeypatch.setattr(sys, "argv", [
+            "pignet", "train", "--category", "lamp", "--epochs", "1",
+            "--out", str(tmp_path / "runs")])
+        with pytest.raises(SystemExit) as exit_:
+            pignet.cli.entry()
+        assert exit_.value.code == 2
         assert capsys.readouterr().err == (
             "config error: --data-root is required (flag or config file)\n")
         assert not (tmp_path / "runs").exists()

@@ -9,6 +9,7 @@ from pignet.data import (AugmentConfig, LAMP_POLE_HEIGHT, LAMP_POLE_RADIUS,
                          load_split, normalize, rotate_up, sample_points,
                          save_cloud, synth_generate, write_synth_dataset)
 from pignet.errors import (DataError, DegenerateError, ParseError, UsageError)
+from pignet.seeding import make_rng
 
 
 def awkward_coordinates():
@@ -271,6 +272,9 @@ class TestCorruptions:
         a = add_gaussian_noise(cloud, 0.02, seed=5)
         b = add_gaussian_noise(cloud, 0.02, seed=5)
         assert np.array_equal(a.points, b.points)
+        # a ready generator is used as given: seed 5 builds this one
+        c = add_gaussian_noise(cloud, 0.02, seed=make_rng(5))
+        assert np.array_equal(a.points, c.points)
 
     def test_noise_keeps_labels(self):
         cloud = make_cloud(30, seed=19)
@@ -360,6 +364,26 @@ class TestDatasetLayout:
         with pytest.raises(DataError) as err:
             load_split(root, "lamp")
         assert "lamp_0000.pts" in str(err.value)
+
+    @pytest.mark.parametrize("shape_id", ["../../evil", "sub/lamp_0000",
+                                          "/tmp/evil", ".", ".."])
+    def test_manifest_id_must_be_a_plain_file_name(self, tmp_path, shape_id):
+        root = write_synth_dataset(tmp_path / "data", ["lamp"], count=1,
+                                   seed=0, points_per_shape=64)
+        manifest = root / "lamp" / "test.txt"
+        manifest.write_text(f"\n{shape_id}\n")
+        with pytest.raises(DataError) as err:
+            load_split(root, "lamp")
+        assert str(err.value) == (f"{manifest}:2: shape id is not a plain "
+                                  f"file name: {shape_id!r}")
+
+    def test_missing_manifests_give_empty_splits(self, tmp_path):
+        root = write_synth_dataset(tmp_path / "data", ["lamp"], count=2,
+                                   seed=0, points_per_shape=64)
+        (root / "lamp" / "val.txt").unlink()
+        (root / "lamp" / "test.txt").unlink()
+        split = load_split(root, "lamp")
+        assert (len(split.train), split.val, split.test) == (2, [], [])
 
     def test_unknown_category_named(self, tmp_path):
         write_synth_dataset(tmp_path / "data", ["lamp"], count=1, seed=0,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pignet.errors import ConfigError, DimensionError
-from pignet.inception import InceptionLayer, InceptionStack, PlainConvStack
+from pignet.inception import InceptionLayer, InceptionStack
+from pignet.layers import Ladder
 from pignet.seeding import make_rng
 from pignet.tensor import Tensor, finite_diff_check, reduce_sum
 
@@ -92,12 +93,12 @@ class TestInceptionStack:
 
 class TestPlainConvStack:
     def test_width_follows_plan(self):
-        stack = PlainConvStack((8, 16, 24), make_rng(0))
+        stack = Ladder(3, (8, 16, 24), make_rng(0))
         assert stack.out_channels == 24
         out = stack(t(np.random.default_rng(1).normal(size=(6, 3))))
         assert out.shape == (6, 24)
 
     def test_parameter_names_disjoint_from_inception(self):
-        plain = PlainConvStack((8, 16), make_rng(0))
+        plain = Ladder(3, (8, 16), make_rng(0))
         fancy = InceptionStack((8, 16), make_rng(0))
         assert len(plain.named_parameters()) < len(fancy.named_parameters())

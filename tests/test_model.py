@@ -508,6 +508,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(num_parts=3, arch="transformer")
         with pytest.raises(ConfigError,
+                           match="feature_reduce must be positive, got 0"):
+            ModelConfig(num_parts=3, feature_reduce=0)
+        with pytest.raises(ConfigError,
                            match="head_widths must be an integer, got 4.5"):
             ModelConfig(num_parts=3, head_widths=(4.5,))
         with pytest.raises(ConfigError, match="head_widths must be a sequence"):

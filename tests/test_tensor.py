@@ -13,6 +13,19 @@ def t(data, grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
+class TestTensor:
+    def test_integer_data_becomes_float64(self):
+        x = Tensor([1, 2])
+        assert x.dtype == np.float64
+        assert np.array_equal(x.data, [1.0, 2.0])
+
+    def test_repr(self):
+        assert repr(t([1.0, 2.0])) == (
+            "Tensor(shape=(2,), op='leaf', requires_grad=True)")
+        assert repr(t(np.zeros((2, 3)), grad=False)) == (
+            "Tensor(shape=(2, 3), op='leaf')")
+
+
 class TestMatmul:
     def test_identity(self):
         out = matmul(t(np.eye(2)), t([[1.0, 2.0], [3.0, 4.0]]))
@@ -40,6 +53,12 @@ class TestMatmul:
         with pytest.raises(DimensionError) as err:
             matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
         assert "(2, 3)" in str(err.value)
+
+    def test_numpy_left_operand_takes_the_right_dtype(self):
+        b = Tensor(np.eye(2, dtype=np.float32))
+        out = matmul(np.array([[1.0, 2.0]]), b)
+        assert out.dtype == np.float32
+        assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_batched(self):
         rng = np.random.default_rng(0)
@@ -283,6 +302,11 @@ class TestBackward:
         backward((x * x).sum())
         assert np.array_equal(x.grad, [6.0])
 
+    def test_root_without_graph_gets_no_gradient(self):
+        x = t([2.0], grad=False)
+        backward(x)
+        assert x.grad is None
+
     def test_non_scalar_seed_rejected(self):
         with pytest.raises(UsageError):
             backward(t([1.0, 2.0]) * 2.0)
@@ -349,6 +373,12 @@ class TestFiniteDiffCheck:
         x = t([3.0])
         err = finite_diff_check(lambda: (x * x).sum(), [x])
         assert err < 1e-8
+
+    def test_non_contiguous_parameter(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4)[:, ::2], requires_grad=True)
+        assert not x.data.flags["C_CONTIGUOUS"]
+        assert finite_diff_check(lambda: (x * x).sum(), [x]) < 1e-8
+        assert x.data.flags["C_CONTIGUOUS"]
 
     def test_constant_function(self):
         x = t([1.0, -2.0])
