@@ -316,12 +316,12 @@ def cmd_predict(args):
     cfg, split = _config_and_split(args)
     records = split.records(args.split)
     model = model_from_checkpoint(args.checkpoint)
-    run_dir = _make_run_dir(cfg)
-    ply_dir = run_dir / "ply"
+    predictions = [predict_sample(model, rec.labeled_cloud(),
+                                  cfg.train_config.seed, i, cfg.points)
+                   for i, rec in enumerate(records)]
+    ply_dir = _make_run_dir(cfg) / "ply"
     ply_dir.mkdir()
-    for i, rec in enumerate(records):
-        sampled, pred = predict_sample(model, rec.labeled_cloud(),
-                                       cfg.train_config.seed, i, cfg.points)
+    for rec, (sampled, pred) in zip(records, predictions):
         write_ply(ply_dir / f"{rec.shape_id}.ply", sampled.points, pred)
     print(f"{len(records)} colored predictions written to {ply_dir}")
 

@@ -24,30 +24,26 @@ from .seeding import rng_of
 
 @dataclass
 class PointCloud:
-    """n x 3 coordinates plus optional per-point part labels and a category."""
+    """n x 3 coordinates, one part label per point, and a category."""
 
     points: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     category: str = ""
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise DataError(f"points must be (n, 3), got {self.points.shape}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.points.shape[0],):
-                raise DataError(
-                    f"{self.points.shape[0]} points but "
-                    f"{self.labels.shape[0]} labels")
+        labels = np.asarray(self.labels)
+        if labels.shape != (self.n,):
+            what = (f"{labels.size} labels" if labels.ndim == 1
+                    else f"labels of shape {labels.shape}")
+            raise DataError(f"{self.n} points but {what}")
+        self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def n(self):
         return self.points.shape[0]
-
-    def copy(self):
-        labels = None if self.labels is None else self.labels.copy()
-        return PointCloud(self.points.copy(), labels, self.category)
 
 
 def utf8_lines(path):
@@ -68,8 +64,8 @@ def _numbered_lines(path):
             if line.strip()]
 
 
-def load_cloud(points_path, labels_path=None, category=""):
-    """Parse a points file (and optional labels file) into a PointCloud.
+def load_cloud(points_path, labels_path, category=""):
+    """Parse a points file and its labels file into a PointCloud.
 
     Empty files, bytes that are not UTF-8, non-finite coordinates (``nan``,
     ``inf``) and labels that are negative or exceed int64 raise a ParseError
@@ -96,36 +92,30 @@ def load_cloud(points_path, labels_path=None, category=""):
         raise ParseError(
             f"{points_path}:{lines[row][0]}: non-finite "
             f"coordinate in {coords[row].tolist()}")
-    labels = None
-    if labels_path is not None:
-        labels = []
-        for lineno, line in _numbered_lines(labels_path):
-            try:
-                label = int(line)
-            except ValueError:
-                raise ParseError(
-                    f"{labels_path}:{lineno}: not an integer label: {line!r}")
-            if label < 0:
-                raise ParseError(f"{labels_path}:{lineno}: negative label {label}")
-            if label > np.iinfo(np.int64).max:
-                raise ParseError(
-                    f"{labels_path}:{lineno}: label {label} exceeds int64")
-            labels.append(label)
-        if len(labels) != len(points):
-            raise DataError(
-                f"{points_path} has {len(points)} points but {labels_path} "
-                f"has {len(labels)} labels")
-    return PointCloud(coords, None if labels is None else np.array(labels),
-                      category)
+    labels = []
+    for lineno, line in _numbered_lines(labels_path):
+        try:
+            label = int(line)
+        except ValueError:
+            raise ParseError(
+                f"{labels_path}:{lineno}: not an integer label: {line!r}")
+        if label < 0:
+            raise ParseError(f"{labels_path}:{lineno}: negative label {label}")
+        if label > np.iinfo(np.int64).max:
+            raise ParseError(
+                f"{labels_path}:{lineno}: label {label} exceeds int64")
+        labels.append(label)
+    if len(labels) != len(points):
+        raise DataError(
+            f"{points_path} has {len(points)} points but {labels_path} "
+            f"has {len(labels)} labels")
+    return PointCloud(coords, np.array(labels), category)
 
 
-def save_cloud(cloud, points_path, labels_path=None):
+def save_cloud(cloud, points_path, labels_path):
     """Write a cloud back to disk; coordinates keep six decimals."""
     np.savetxt(points_path, cloud.points, fmt="%.6f")
-    if labels_path is not None:
-        if cloud.labels is None:
-            raise UsageError("cloud has no labels to save")
-        np.savetxt(labels_path, cloud.labels, fmt="%d")
+    np.savetxt(labels_path, cloud.labels, fmt="%d")
 
 
 def normalize(cloud):
@@ -135,8 +125,7 @@ def normalize(cloud):
     radius = np.linalg.norm(centered, axis=1).max()
     if radius == 0.0:
         raise DegenerateError("all points are identical; cannot normalize")
-    labels = None if cloud.labels is None else cloud.labels.copy()
-    return PointCloud(centered / radius, labels, cloud.category)
+    return PointCloud(centered / radius, cloud.labels, cloud.category)
 
 
 def sample_points(cloud, m, seed):
@@ -146,8 +135,7 @@ def sample_points(cloud, m, seed):
         raise UsageError(f"sample size must be >= 1, got {m}")
     rng = rng_of(seed)
     idx = rng.choice(cloud.n, size=m, replace=cloud.n < m)
-    labels = None if cloud.labels is None else cloud.labels[idx]
-    return PointCloud(cloud.points[idx], labels, cloud.category)
+    return PointCloud(cloud.points[idx], cloud.labels[idx], cloud.category)
 
 
 def rotate_up(points, angle, up_axis=1):
@@ -209,8 +197,7 @@ def augment(cloud, cfg, rng):
                             size=3)
     if cfg.jitter_sigma > 0:
         pts = pts + rng.normal(0.0, cfg.jitter_sigma, size=pts.shape)
-    labels = None if cloud.labels is None else cloud.labels.copy()
-    return PointCloud(pts, labels, cloud.category)
+    return PointCloud(pts, cloud.labels, cloud.category)
 
 
 def add_gaussian_noise(cloud, sigma, seed):
@@ -218,11 +205,10 @@ def add_gaussian_noise(cloud, sigma, seed):
     if sigma < 0:
         raise UsageError(f"noise sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return cloud.copy()
+        return cloud
     rng = rng_of(seed)
-    labels = None if cloud.labels is None else cloud.labels.copy()
     return PointCloud(cloud.points + rng.normal(0.0, sigma, cloud.points.shape),
-                      labels, cloud.category)
+                      cloud.labels, cloud.category)
 
 
 # ---------------------------------------------------------------------------

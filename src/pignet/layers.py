@@ -11,9 +11,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .tensor import (Tensor, _accurate_mean, _accurate_sum, _record,
-                     as_tensor, matmul, recording, reduce_max, reduce_mean,
-                     relu, reshape, transpose_last2, reduce_sum)
+from .tensor import (Tensor, _accurate_sum, _record, as_tensor, matmul,
+                     recording, reduce_max, reduce_mean, relu, reshape,
+                     transpose_last2, reduce_sum)
 
 
 class Module:
@@ -146,9 +146,9 @@ class BatchNorm(Module):
             raise DegenerateError(
                 f"cannot normalize a batch of {rows} value(s) per channel")
         axes = tuple(range(features.ndim - 1))
-        mean = _accurate_mean(features.data, axes, rows)
+        mean = _accurate_sum(features.data, axes, rows)
         xhat = features.data - mean
-        var = _accurate_mean(xhat * xhat, axes, rows)
+        var = _accurate_sum(xhat * xhat, axes, rows)
         std = np.sqrt(var + self.eps)
         xhat /= std  # centered values, normalized in place
         m = self.momentum

@@ -234,19 +234,11 @@ def _spread(g, shape, axes):
     return np.broadcast_to(g.reshape(kept), shape)
 
 
-def _accurate_sum(data, axes):
+def _accurate_sum(data, axes, count=1):
     # accumulate float32 reductions at float64 so the result does not depend
-    # on summation order beyond one final rounding
-    if data.dtype == np.float32:
-        return data.sum(axis=axes, dtype=np.float64).astype(np.float32)
-    return data.sum(axis=axes)
-
-
-def _accurate_mean(data, axes, count):
-    if data.dtype == np.float32:
-        return (data.sum(axis=axes, dtype=np.float64)
-                / count).astype(np.float32)
-    return data.mean(axis=axes)
+    # on summation order beyond one final rounding; ``count`` makes it a mean
+    return (data.sum(axis=axes, dtype=np.float64) / count).astype(
+        data.dtype, copy=False)
 
 
 def reduce_sum(a, axis=None):
@@ -263,7 +255,7 @@ def reduce_mean(a, axis=None):
     count = math.prod(a.shape[ax] for ax in axes)
     if count == 0:
         raise DomainError("cannot average over an empty axis")
-    return _record(_accurate_mean(a.data, axes, count), (a,), "mean",
+    return _record(_accurate_sum(a.data, axes, count), (a,), "mean",
                    lambda g: (_spread(g, a.shape, axes) / count,))
 
 
@@ -359,7 +351,7 @@ def cross_entropy(logits, labels):
         gx[rows, labels] = s
         return (gx - np.exp(logp) * s,)
 
-    return _record(-_accurate_mean(logp[rows, labels], (0,), count), (x,),
+    return _record(-_accurate_sum(logp[rows, labels], (0,), count), (x,),
                    "cross_entropy", rule)
 
 

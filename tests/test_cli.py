@@ -340,6 +340,31 @@ def test_manifest_id_outside_the_category_exits_1(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.ply"))
 
 
+def test_oversized_predict_leaves_no_run_directory(tmp_path, capsys,
+                                                   monkeypatch):
+    """predict makes its run directory only once every shape is predicted.
+    The allocator's refusal of the 7.28 TiB sample index is raised here
+    rather than provoked, since an overcommitting kernel would grant it."""
+    def refuse(cloud, m, seed):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          f"shape ({m},) and data type int64")
+
+    root = synth(tmp_path, count=3)
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, build_model(ModelConfig(
+        num_parts=3, inception_plan=(4, 8), tnet_conv_widths=(4, 8, 16),
+        tnet_fc_widths=(8, 8), head_widths=(8, 8)), seed=0))
+    monkeypatch.setattr(pignet.evaluation, "sample_points", refuse)
+    capsys.readouterr()
+    assert run(["predict", "--data-root", root, "--category", "lamp",
+                "--checkpoint", checkpoint, "--split", "train", "--points",
+                "1000000000000", "--out", tmp_path / "runs"]) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 7.28 TiB for an array with shape "
+        "(1000000000000,) and data type int64\n")
+    assert not list(tmp_path.glob("runs/run-*"))
+
+
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, lamp_root,
                                             monkeypatch):
     def exhaust(*args, **kwargs):

@@ -30,13 +30,21 @@ def make_cloud(n=32, seed=0, labels=True):
                       rng.integers(0, 3, n) if labels else None, "test")
 
 
+def three_labels(tmp_path):
+    """A labels file of three points, for points files that fail first."""
+    seg = tmp_path / "c.seg"
+    seg.write_text("0\n1\n2\n")
+    return seg
+
+
 class TestLoadSave:
     def test_three_line_file(self, tmp_path):
         path = tmp_path / "c.pts"
         path.write_text("0 0 0\n1.5 2 -3\n0.1 0.2 0.3\n")
-        cloud = load_cloud(path)
+        cloud = load_cloud(path, three_labels(tmp_path))
         assert cloud.n == 3
         assert np.allclose(cloud.points[1], [1.5, 2.0, -3.0])
+        assert cloud.labels.tolist() == [0, 1, 2]
 
     def test_label_count_mismatch_names_both_counts(self, tmp_path):
         pts = tmp_path / "c.pts"
@@ -51,14 +59,14 @@ class TestLoadSave:
         path = tmp_path / "c.pts"
         path.write_text("0 0 0\n1 2\n")
         with pytest.raises(ParseError) as err:
-            load_cloud(path)
+            load_cloud(path, three_labels(tmp_path))
         assert ":2:" in str(err.value)
 
     def test_non_numeric_reports_line_number(self, tmp_path):
         path = tmp_path / "c.pts"
         path.write_text("0 0 zero\n")
         with pytest.raises(ParseError) as err:
-            load_cloud(path)
+            load_cloud(path, three_labels(tmp_path))
         assert ":1:" in str(err.value)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -67,7 +75,7 @@ class TestLoadSave:
         path = tmp_path / "c.pts"
         path.write_text(f"0 0 0\n\n{token} 1 2\n3 4 5\n")
         with pytest.raises(ParseError) as err:
-            load_cloud(path)
+            load_cloud(path, three_labels(tmp_path))
         assert f"{path}:3:" in str(err.value)
 
     def test_negative_label_names_line(self, tmp_path):
@@ -105,7 +113,7 @@ class TestLoadSave:
         path = tmp_path / "c.pts"
         path.write_text("\n  \n")
         with pytest.raises(ParseError) as err:
-            load_cloud(path)
+            load_cloud(path, three_labels(tmp_path))
         assert str(path) in str(err.value)
 
     def test_bytes_match_reference_writer(self, tmp_path):
@@ -132,7 +140,7 @@ class TestLoadSave:
 
 class TestNormalize:
     def test_hand_case(self):
-        cloud = PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        cloud = PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0, 1])
         out = normalize(cloud)
         assert np.allclose(out.points, [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
@@ -148,7 +156,7 @@ class TestNormalize:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateError):
-            normalize(PointCloud(np.ones((5, 3))))
+            normalize(PointCloud(np.ones((5, 3)), np.zeros(5)))
 
     def test_labels_preserved(self):
         cloud = make_cloud(10, seed=4)
@@ -217,7 +225,7 @@ class TestAugment:
     def test_jitter_statistics(self):
         cfg = AugmentConfig(rotate_up_axis=False, scale_range=(1.0, 1.0),
                             translate_range=(0.0, 0.0), jitter_sigma=0.01)
-        base = PointCloud(np.zeros((10_000, 3)))
+        base = PointCloud(np.zeros((10_000, 3)), np.zeros(10_000))
         out = augment(base, cfg, rng=6)
         noise = out.points.ravel()
         assert abs(noise.mean()) < 3 * 0.01 / 100.0
@@ -262,7 +270,7 @@ class TestCorruptions:
         assert np.array_equal(out.points, cloud.points)
 
     def test_noise_statistics(self):
-        base = PointCloud(np.zeros((10_000, 3)))
+        base = PointCloud(np.zeros((10_000, 3)), np.zeros(10_000))
         out = add_gaussian_noise(base, 0.04, seed=4)
         noise = out.points.ravel()
         assert abs(noise.std() - 0.04) / 0.04 < 0.05

@@ -6,6 +6,9 @@ import functools
 import json
 import math
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,14 +62,12 @@ def workdir(tmp_path_factory):
 
 @st.composite
 def cloud_files(draw):
-    """A points file and a labels file (or None) of about as many lines."""
+    """A points file and a labels file of about as many lines."""
     rows = draw(st.integers(1, 5))
     points = draw(st.lists(POINT_LINES, min_size=rows, max_size=rows))
     count = max(rows + draw(st.sampled_from([0, 0, 0, 0, 1, -1])), 0)
     labels = draw(st.lists(LABEL_LINES, min_size=count, max_size=count))
-    return (draw(as_file(points)),
-            draw(st.sampled_from([labels, labels, labels, None]).flatmap(
-                lambda lines: st.none() if lines is None else as_file(lines))))
+    return draw(as_file(points)), draw(as_file(labels))
 
 
 @fuzz(600)
@@ -74,15 +75,13 @@ def cloud_files(draw):
 def test_load_cloud_raises_only_pignet_errors(workdir, files):
     points, labels = files
     (workdir / "c.pts").write_bytes(points)
-    (workdir / "c.seg").write_bytes(labels or b"")
+    (workdir / "c.seg").write_bytes(labels)
     try:
-        cloud = load_cloud(workdir / "c.pts",
-                           None if labels is None else workdir / "c.seg")
+        cloud = load_cloud(workdir / "c.pts", workdir / "c.seg")
     except PignetError:
         return
     assert cloud.n >= 1 and np.isfinite(cloud.points).all()
-    if labels is not None:
-        assert cloud.labels.shape == (cloud.n,) and cloud.labels.min() >= 0
+    assert cloud.labels.shape == (cloud.n,) and cloud.labels.min() >= 0
 
 
 INI_VALUES = JUNK | st.sampled_from([
@@ -222,3 +221,33 @@ def test_edited_checkpoint_raises_only_pignet_errors(workdir, saved, edit):
         model_from_checkpoint(path)
     except PignetError:
         pass
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_property_fails(n):
+    assert n < 10
+
+
+def test_after_it_passes():
+    pass
+"""
+
+
+def test_failing_property_reports_as_a_failure(tmp_path):
+    """A falsified property is reported as FAILED and the tests after it
+    still run under the repository's pytest settings: the warning filters
+    must not turn Hypothesis's own reporting into an internal error."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-q",
+         "-p", "no:cacheprovider", str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pignet.data import (DatasetSplit, PointCloud, add_gaussian_noise,
-                         infer_num_parts, save_cloud)
+                         infer_num_parts)
 from pignet.errors import (ConfigError, DataError, DimensionError,
                            DomainError, UsageError)
 from pignet.evaluation import ablation_variants, evaluate_split, write_ply
@@ -76,16 +76,20 @@ REFUSALS = {
     "inception-no-plan": (lambda: InceptionStack((), make_rng(0)),
                           ConfigError, "inception plan must not be empty"),
     # data and evaluation
-    "cloud-points": (lambda: PointCloud(np.zeros((4, 2))), DataError,
-                     "points must be (n, 3), got (4, 2)"),
+    "cloud-points": (lambda: PointCloud(np.zeros((4, 2)), np.zeros(4)),
+                     DataError, "points must be (n, 3), got (4, 2)"),
     "cloud-labels": (lambda: PointCloud(np.zeros((4, 3)), np.zeros(3)),
                      DataError, "4 points but 3 labels"),
-    "save-unlabeled": (
-        lambda: save_cloud(PointCloud(np.zeros((2, 3))), io.StringIO(),
-                           io.StringIO()),
-        UsageError, "cloud has no labels to save"),
+    "cloud-labels-scalar": (lambda: PointCloud(np.zeros((4, 3)), 5),
+                            DataError, "4 points but labels of shape ()"),
+    "cloud-labels-column": (
+        lambda: PointCloud(np.zeros((4, 3)), np.zeros((4, 1))), DataError,
+        "4 points but labels of shape (4, 1)"),
+    "cloud-labels-none": (lambda: PointCloud(np.zeros((4, 3)), None),
+                          DataError, "4 points but labels of shape ()"),
     "noise-sigma": (
-        lambda: add_gaussian_noise(PointCloud(np.zeros((2, 3))), -0.5, 0),
+        lambda: add_gaussian_noise(PointCloud(np.zeros((2, 3)), np.zeros(2)),
+                                   -0.5, 0),
         UsageError, "noise sigma must be >= 0, got -0.5"),
     "unknown-split": (lambda: empty_split().records("x"), UsageError,
                       "unknown split 'x'"),
