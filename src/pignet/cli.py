@@ -19,8 +19,8 @@ from typing import get_args
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, PignetError
-from .data import (AugmentConfig, SYNTH_PARTS, infer_num_parts, load_split,
+from .errors import ConfigError, ParseError, PignetError, UsageError
+from .data import (AugmentConfig, SYNTH_SHAPES, infer_num_parts, load_split,
                    utf8_lines, write_synth_dataset)
 from .model import ModelConfig, parameter_count
 from .training import (TrainConfig, model_from_checkpoint, save_checkpoint,
@@ -315,6 +315,8 @@ def cmd_eval(args):
 def cmd_predict(args):
     cfg, split = _config_and_split(args)
     records = split.records(args.split)
+    if not records:
+        raise UsageError("no shapes to predict")
     model = model_from_checkpoint(args.checkpoint)
     predictions = [predict_sample(model, rec.labeled_cloud(),
                                   cfg.train_config.seed, i, cfg.points)
@@ -369,10 +371,10 @@ def cmd_synth(args):
     if not shapes:
         raise ConfigError(f"--shapes names no shape, got {args.shapes!r}")
     for shape in shapes:
-        if shape not in SYNTH_PARTS:
+        if shape not in SYNTH_SHAPES:
             raise ConfigError(
                 f"unknown synthetic shape {shape!r}; "
-                f"choose from {sorted(SYNTH_PARTS)}")
+                f"choose from {sorted(SYNTH_SHAPES)}")
     root = write_synth_dataset(args.out, shapes, args.count, args.seed,
                                args.cloud_points, args.val_count,
                                args.test_count)
@@ -424,7 +426,7 @@ _COMMANDS = [
     ("synth", cmd_synth, "generate a labeled synthetic dataset", [
         ("--shapes", dict(type=str, required=True,
                           help="comma-separated shape categories "
-                               f"({', '.join(sorted(SYNTH_PARTS))})")),
+                               f"({', '.join(sorted(SYNTH_SHAPES))})")),
         ("--count", dict(type=int, default=8,
                          help="training shapes per category")),
         ("--val-count", dict(type=int, default=0)),

@@ -215,8 +215,6 @@ def add_gaussian_noise(cloud, sigma, seed):
 # synthetic labeled shapes
 # ---------------------------------------------------------------------------
 
-SYNTH_PARTS = {"lamp": 3, "rocket": 3, "table": 2}
-
 # parameter ranges of the generators, exposed so tests can bound parts
 LAMP_BASE_RADIUS = (0.25, 0.4)
 LAMP_POLE_RADIUS = (0.02, 0.05)
@@ -321,16 +319,16 @@ def _table(rng, n):
     return points, labels.astype(np.int64)
 
 
-_GENERATORS = {"lamp": _lamp, "rocket": _rocket, "table": _table}
+SYNTH_SHAPES = {"lamp": _lamp, "rocket": _rocket, "table": _table}
 
 
 def synth_generate(category, count, seed, points_per_shape=2048):
     """Procedurally generate ``count`` labeled shapes of one category."""
-    if category not in _GENERATORS:
+    if category not in SYNTH_SHAPES:
         raise UsageError(
             f"unknown synthetic shape {category!r}; "
-            f"choose from {sorted(_GENERATORS)}")
-    gen = _GENERATORS[category]
+            f"choose from {sorted(SYNTH_SHAPES)}")
+    gen = SYNTH_SHAPES[category]
     clouds = []
     for i in range(count):
         rng = rng_of((seed, i), *[ord(c) for c in category])
@@ -455,5 +453,5 @@ def infer_num_parts(split):
     """Highest label across every split file, plus one."""
     records = split.train + split.val + split.test
     if not records:
-        raise DataError("dataset has no labels; cannot infer the part count")
+        raise DataError("dataset lists no shapes; cannot infer the part count")
     return 1 + max(int(rec.cloud.labels.max()) for rec in records)

@@ -277,16 +277,13 @@ class TNet(Ladder):
 
     def matrix(self, features, training=False):
         """Predict the transform for a (B, n, k) or (n, k) feature map."""
-        single = features.ndim == 2
-        x = reshape(features, (1,) + tuple(features.shape)) if single else features
-        pooled = reduce_max(super().__call__(x, training), axis=-2)
+        pooled = reduce_max(super().__call__(features, training), axis=-2)
+        if pooled.ndim == 1:  # the affine layers take rows
+            pooled = reshape(pooled, (1,) + pooled.shape)
         for fc in self._numbered("fc"):
             pooled = relu(fc(pooled))
         flat = self.out(pooled)
-        mats = reshape(flat, (flat.shape[0], self.k, self.k))
-        if single:
-            mats = reshape(mats, (self.k, self.k))
-        return mats
+        return reshape(flat, features.shape[:-2] + (self.k, self.k))
 
     def align(self, features, training=False):
         """Return (features @ predicted matrix, predicted matrix)."""
@@ -308,7 +305,4 @@ def orthogonality_regularizer(mat):
         raise DimensionError(f"expected square matrices, got shape {mat.shape}")
     eye = Tensor(np.eye(mat.shape[-1], dtype=mat.dtype))
     diff = eye - matmul(mat, transpose_last2(mat))
-    per_matrix = reduce_sum(diff * diff, axis=(-1, -2))
-    if per_matrix.ndim == 0:
-        return per_matrix
-    return reduce_mean(per_matrix)
+    return reduce_mean(reduce_sum(diff * diff, axis=(-1, -2)))

@@ -116,8 +116,9 @@ def config_hash(config):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _as_batch(points, dtype):
-    """Validate a cloud or batch; return (a (B, n, 3) batch, was one cloud)."""
+def _checked_points(points, dtype):
+    """Validate an (n, 3) cloud or a (B, n, 3) batch; return it in ``dtype``
+    and in its own shape, as both take one path through the layers."""
     pts = as_tensor(points)
     if pts.dtype != dtype:
         pts = Tensor(pts.data.astype(dtype))
@@ -128,8 +129,7 @@ def _as_batch(points, dtype):
         raise InputError("cloud must contain at least one point")
     if not np.isfinite(pts.data).all():
         raise InputError("point coordinates must be finite")
-    single = pts.ndim == 2
-    return (reshape(pts, (1,) + tuple(pts.shape)) if single else pts), single
+    return pts
 
 
 class _HeadMixin(Module):
@@ -153,18 +153,16 @@ class _HeadMixin(Module):
 
     @property
     def head_out(self):
+        """The head's final affine, by the name bench/selftest.py reads."""
         return self.head.out
 
-    def _classify(self, local, pooled, single, training, capture, **captured):
+    def _classify(self, local, pooled, training, capture, **captured):
         """Per-point head logits of the local beside the global features."""
-        n = local.shape[1]
-        combined = concat([local, repeat_rows(pooled, n)], axis=-1)
-        logits = self.head_out(self.head(combined, training))
+        combined = concat([local, repeat_rows(pooled, local.shape[-2])], axis=-1)
+        logits = self.head.out(self.head(combined, training))
         if capture is not None:
             capture.update(captured, local_features=local,
                            global_feature=pooled, combined=combined)
-        if single:
-            logits = reshape(logits, (n, self.config.num_parts))
         return logits
 
     def predict(self, points):
@@ -203,7 +201,7 @@ class PigNet(_HeadMixin):
         The matrix is None when the feature transform is disabled. Pass a
         dict as ``capture`` to receive intermediate tensors.
         """
-        x, single = _as_batch(points, self.dtype)
+        x = _checked_points(points, self.dtype)
         aligned, input_mat = self.input_tnet.align(x, training)
         feats = self.stack(aligned, training)
         if self.reduce is not None:
@@ -214,11 +212,9 @@ class PigNet(_HeadMixin):
             local, feature_mat = feats, None
         pool = global_average_pool if self.config.use_gap else max_over_points
         pooled = pool(local)
-        logits = self._classify(local, pooled, single, training, capture,
+        logits = self._classify(local, pooled, training, capture,
                                 aligned_input=aligned, input_matrix=input_mat,
                                 feature_matrix=feature_mat)
-        if single and feature_mat is not None:
-            feature_mat = reshape(feature_mat, feature_mat.shape[1:])
         return logits, feature_mat
 
 
@@ -238,12 +234,12 @@ class PointNetBaseline(_HeadMixin):
         return plan[self.config.baseline_local_index] + plan[-1]
 
     def forward(self, points, training=False, capture=None):
-        x, single = _as_batch(points, self.dtype)
+        x = _checked_points(points, self.dtype)
         aligned, input_mat = self.input_tnet.align(x, training)
         rungs = self.convs.outputs(aligned, training)
         local = rungs[self.config.baseline_local_index]
         pooled = max_over_points(rungs[-1])
-        logits = self._classify(local, pooled, single, training, capture,
+        logits = self._classify(local, pooled, training, capture,
                                 aligned_input=aligned, input_matrix=input_mat)
         return logits, None
 

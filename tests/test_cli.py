@@ -365,6 +365,22 @@ def test_oversized_predict_leaves_no_run_directory(tmp_path, capsys,
     assert not list(tmp_path.glob("runs/run-*"))
 
 
+@pytest.mark.parametrize("command, noun", [("eval", "evaluate"),
+                                           ("predict", "predict")])
+def test_empty_split_exits_1_without_run_directory(tmp_path, capsys,
+                                                   lamp_root, command, noun):
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, build_model(ModelConfig(
+        num_parts=3, inception_plan=(4, 8), tnet_conv_widths=(4, 8, 16),
+        tnet_fc_widths=(8, 8), head_widths=(8, 8)), seed=0))
+    capsys.readouterr()
+    assert run([command, "--data-root", lamp_root, "--category", "lamp",
+                "--checkpoint", checkpoint, "--split", "test", "--points",
+                "24", "--out", tmp_path / "runs"]) == 1
+    assert capsys.readouterr().err == f"error: no shapes to {noun}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, lamp_root,
                                             monkeypatch):
     def exhaust(*args, **kwargs):

@@ -325,6 +325,24 @@ class TestTNet:
             _, single = tnet.align(t(x[i]))
             assert np.allclose(mats.data[i], single.data)
 
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_map_gives_the_bytes_of_a_batch_of_one(self, training):
+        x = np.random.default_rng(8).normal(size=(5, 3))
+        runs = []
+        for features in (x, x[None]):
+            tnet = TNet(3, make_rng(7), (4, 8, 16), (8, 8))
+            tnet.out.weight.data[:] = np.random.default_rng(9).normal(
+                0, 0.05, tnet.out.weight.shape)
+            inputs = t(features, grad=True)
+            aligned, mat = tnet.align(inputs, training)
+            assert mat.shape == features.shape[:-2] + (3, 3)
+            backward(reduce_sum(aligned) + reduce_sum(mat * mat))
+            runs.append(([a.data.tobytes() for a in (aligned, mat)],
+                         inputs.grad.tobytes(),
+                         [p.grad.tobytes() for _, p in tnet.named_parameters()],
+                         [a.tobytes() for _, a in tnet.named_state()]))
+        assert runs[0] == runs[1]
+
     def test_gradient(self):
         tnet = TNet(2, make_rng(9), (4, 8), (8,))
         x = Tensor(np.random.default_rng(10).normal(size=(5, 2)))
@@ -369,6 +387,18 @@ class TestOrthogonalityRegularizer:
                      requires_grad=True)
         err = finite_diff_check(lambda: orthogonality_regularizer(mat), [mat])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_matrix_gives_the_bytes_of_a_batch_of_one(self, dtype):
+        a = np.random.default_rng(16).normal(size=(3, 3))
+        runs = []
+        for mat in (a, a[None]):
+            mat = Tensor(mat, requires_grad=True, dtype=dtype)
+            value = orthogonality_regularizer(mat)
+            backward(value)
+            runs.append((value.shape, value.data.tobytes(),
+                         mat.grad.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestPermutationEquivariance:

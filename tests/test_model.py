@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,12 +163,10 @@ class TestSkeleton:
                else np.stack([cloud(10, seed=i) for i in range(batch)]))
         captured = {}
         logits, mat = model.forward(pts, training=training, capture=captured)
-        lead = (1,) if batch is None else (batch,)
+        lead = () if batch is None else (batch,)
         got = {k: None if v is None else v.shape for k, v in captured.items()}
         assert got == {k: None if s is None else lead + s
                        for k, s in per_cloud.items()}
-        # the returned tensors drop the batch axis of a single cloud
-        lead = () if batch is None else (batch,)
         assert logits.shape == lead + logits_shape
         feature_shape = per_cloud.get("feature_matrix")
         if feature_shape is None:
@@ -175,6 +174,34 @@ class TestSkeleton:
         else:
             assert mat.shape == lead + feature_shape
         assert ("feature_matrix" in captured) == (config.arch == "pignet")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("case", [0, 3], ids=["pignet", "pointnet"])
+    def test_cloud_gives_the_bytes_of_a_batch_of_one(self, case, training,
+                                                     dtype):
+        """Outputs, captured tensors, gradients and batch-norm state of a
+        cloud equal, byte for byte, those of the cloud as a batch of one."""
+        config = replace(SKELETON[case][0], dtype=dtype)
+        pts = cloud(10)
+        runs = []
+        for points in (pts, pts[None]):
+            lead = points.ndim - 2
+            model = build_model(config, seed=0)
+            captured = {}
+            logits, mat = model.forward(points, training=training,
+                                        capture=captured)
+            backward(segmentation_loss(logits, np.arange(10) % 3, mat,
+                                       config.lambda_reg))
+            outputs = dict(captured, logits=logits, returned_matrix=mat)
+            assert all(v.shape[:lead] == (1,) * lead
+                       for v in outputs.values() if v is not None)
+            runs.append((
+                {k: None if v is None else (v.shape[lead:], v.data.tobytes())
+                 for k, v in outputs.items()},
+                [(n, p.grad.tobytes()) for n, p in model.named_parameters()],
+                [(n, a.tobytes()) for n, a in model.named_state()]))
+        assert runs[0] == runs[1]
 
 
 class TestLoss:

@@ -94,7 +94,7 @@ REFUSALS = {
     "unknown-split": (lambda: empty_split().records("x"), UsageError,
                       "unknown split 'x'"),
     "no-parts": (lambda: infer_num_parts(empty_split()), DataError,
-                 "dataset has no labels"),
+                 "dataset lists no shapes"),
     "evaluate-nothing": (lambda: evaluate_split(tiny_model(), [], 0),
                          UsageError, "no shapes to evaluate"),
     "ablate-one-layer": (
