@@ -6,8 +6,8 @@ state, tensor count), then one record per tensor: u32 name length, the name,
 u32 rank, u64 extents, and the values as little-endian float64.
 
 A save streams the header and then each record to a temporary file and
-renames it over the target. A read takes the whole file into one buffer and
-returns float64 views into it. ``model_from_checkpoint`` builds its model
+renames it over the target. A read checks every record header and reads only
+the tensors its caller names. ``model_from_checkpoint`` builds its model
 without drawing initial weights, since the file overwrites every one.
 """
 
@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -219,7 +220,7 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
     """Serialize model (and optimizer) state; the write is atomic.
 
     The header and then each tensor's record go straight to a temporary
-    file, which is renamed over ``path`` once complete."""
+    file, renamed over ``path`` once complete and removed if a write fails."""
     arrays = _named_arrays(model, optimizer)
     meta = {
         "config_hash": config_hash(model.config),
@@ -230,80 +231,91 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
         "adam_step_count": None if optimizer is None else optimizer.step_count,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes)
-        for name, arr in arrays:
-            name_bytes = name.encode()
-            data = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack(f"<I{len(name_bytes)}sI{data.ndim}Q",
-                                 len(name_bytes), name_bytes, data.ndim,
-                                 *data.shape))
-            fh.write(data)
-    os.replace(tmp, path)
+    tmp = Path(f"{path}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes)
+            for name, arr in arrays:
+                name_bytes = name.encode()
+                data = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(struct.pack(f"<I{len(name_bytes)}sI{data.ndim}Q",
+                                     len(name_bytes), name_bytes, data.ndim,
+                                     *data.shape))
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_checkpoint(path):
+def read_checkpoint(path, prefixes=("",)):
     """Parse a checkpoint into (metadata, {name: array}); no model needed.
 
-    The file is read once into one writable buffer, and the arrays are
-    little-endian float64 views into it.
+    Every record header is checked, but only the tensors whose names start
+    with one of ``prefixes`` are read, each into its own writable
+    little-endian float64 array; the reader seeks past the others.
     """
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        got = fh.readinto(blob)
-    if got != len(blob):
-        raise FormatError(
-            f"{path} is truncated: read {got} of {len(blob)} bytes")
-    view = memoryview(blob)
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
 
-    def grab(count, what):
-        nonlocal pos
-        if pos + count > len(view):
-            raise FormatError(f"{path} is truncated while reading {what}")
-        piece = view[pos:pos + count]
-        pos += count
-        return piece
+        def take(count, what):
+            nonlocal pos
+            if pos + count > size:
+                raise FormatError(f"{path} is truncated while reading {what}")
+            pos += count
 
-    if bytes(grab(len(MAGIC), "magic")) != MAGIC:
-        raise FormatError(f"{path} is not a checkpoint (bad magic)")
-    (meta_len,) = struct.unpack("<I", grab(4, "metadata length"))
-    try:
-        meta = json.loads(bytes(grab(meta_len, "metadata")))
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-        raise FormatError(f"{path} metadata is not valid JSON: {exc}")
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path} metadata is not a JSON object")
-    # checked here, so a corrupt field fails before any model is touched
-    for key, nullable in (("tensor_count", False), ("epoch", False),
-                          ("adam_step_count", True)):
-        value = meta.get(key, 0)
-        if (type(value) is not int or value < 0) and not (
-                nullable and value is None):
-            raise FormatError(
-                f"{path} metadata has {key} {value!r}, not a count")
-    tensor_count = meta.get("tensor_count", 0)
-    arrays = {}
-    for _ in range(tensor_count):
-        (name_len,) = struct.unpack("<I", grab(4, "tensor name length"))
+        def grab(count, what, shape=None):
+            take(count, what)
+            buf = bytearray(count) if shape is None else np.empty(shape, "<f8")
+            if fh.readinto(buf) != count:  # the file shrank since its stat
+                raise FormatError(f"{path} is truncated while reading {what}")
+            return buf
+
+        if grab(len(MAGIC), "magic") != MAGIC:
+            raise FormatError(f"{path} is not a checkpoint (bad magic)")
+        (meta_len,) = struct.unpack("<I", grab(4, "metadata length"))
         try:
-            name = bytes(grab(name_len, "tensor name")).decode()
-        except UnicodeDecodeError:
-            raise FormatError(f"{path} holds a tensor name that is not UTF-8")
-        (rank,) = struct.unpack("<I", grab(4, "tensor rank"))
-        shape = struct.unpack(f"<{rank}Q", grab(8 * rank, "tensor extents"))
-        count = 1
-        for extent in shape:
-            count *= extent
-        raw = grab(8 * count, f"tensor {name}")
-        try:
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        except ValueError as exc:  # more extents than numpy allows
-            raise FormatError(f"{path} holds tensor {name} of rank {rank}: "
-                              f"{exc}") from None
-    if pos != len(view):
-        raise FormatError(f"{path} has {len(view) - pos} trailing bytes")
+            meta = json.loads(grab(meta_len, "metadata"))
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise FormatError(f"{path} metadata is not valid JSON: {exc}")
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path} metadata is not a JSON object")
+        # checked here, so a corrupt field fails before any model is touched
+        for key, nullable in (("tensor_count", False), ("epoch", False),
+                              ("adam_step_count", True)):
+            value = meta.get(key, 0)
+            if (type(value) is not int or value < 0) and not (
+                    nullable and value is None):
+                raise FormatError(
+                    f"{path} metadata has {key} {value!r}, not a count")
+        arrays = {}
+        for _ in range(meta.get("tensor_count", 0)):
+            (name_len,) = struct.unpack("<I", grab(4, "tensor name length"))
+            try:
+                name = grab(name_len, "tensor name").decode()
+            except UnicodeDecodeError:
+                raise FormatError(
+                    f"{path} holds a tensor name that is not UTF-8")
+            (rank,) = struct.unpack("<I", grab(4, "tensor rank"))
+            if rank > 64:  # numpy 2's limit, checked on skipped records too
+                raise FormatError(f"{path} holds tensor {name} of rank {rank}")
+            shape = struct.unpack(f"<{rank}Q", grab(8 * rank, "tensor extents"))
+            count = 8 * math.prod(shape)
+            if name.startswith(prefixes):
+                try:
+                    arrays[name] = grab(count, f"tensor {name}", shape)
+                except ValueError as exc:  # extents numpy cannot hold
+                    raise FormatError(f"{path} holds tensor {name} of rank "
+                                      f"{rank}: {exc}") from None
+            else:
+                take(count, f"tensor {name}")
+                fh.seek(pos)
+        end = fh.seek(0, os.SEEK_END)
+    if end < size:  # a skipped last record may lie past the shrunk end
+        raise FormatError(f"{path} is truncated to {end} of {size} bytes")
+    if pos != size:
+        raise FormatError(f"{path} has {size - pos} trailing bytes")
     return meta, arrays
 
 
@@ -313,7 +325,8 @@ def load_checkpoint(path, model, optimizer=None):
     Returns (epoch, rng_state). A hash mismatch or an unexpected tensor set
     raises before anything is applied.
     """
-    meta, arrays = read_checkpoint(path)
+    meta, arrays = read_checkpoint(
+        path, ("param/", "state/") if optimizer is None else ("",))
     return _apply_checkpoint(meta, arrays, model, optimizer)
 
 
@@ -346,7 +359,7 @@ def model_from_checkpoint(path):
     """Rebuild the saved configuration and load the weights into it; the
     model is built without drawing initial weights, and only once the
     configuration's closed-form parameter count matches the file's."""
-    meta, arrays = read_checkpoint(path)
+    meta, arrays = read_checkpoint(path, ("param/", "state/"))
     cfg_dict = meta.get("config")
     if not isinstance(cfg_dict, dict):
         raise FormatError(f"{path} metadata lacks the model configuration")

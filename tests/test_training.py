@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import types
@@ -276,13 +277,30 @@ class TestCheckpoints:
         save_checkpoint(path, build_model(tiny_model_config(), seed=0))
         reads = []
 
-        def counting_read(p):
+        def counting_read(p, *rest):
             reads.append(p)
-            return read_checkpoint(p)
+            return read_checkpoint(p, *rest)
 
         monkeypatch.setattr(training, "read_checkpoint", counting_read)
         model_from_checkpoint(path)
         assert reads == [path]
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path,
+                                                  monkeypatch):
+        model = build_model(tiny_model_config(), seed=0)
+        real = np.ascontiguousarray
+        calls = []
+
+        def fail_third(arr, dtype=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return real(arr, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_third)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(tmp_path / "model.ckpt", model)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _golden_float64_with_adam(path):
@@ -381,9 +399,163 @@ class TestCheckpointLoadPath:
             # the size taken before the read exceeds what the read finds
             patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
                 st_size=real_fstat(fd).st_size + 8))
-            with pytest.raises(FormatError, match="truncated") as err:
-                read_checkpoint(path)
+            for read in (read_checkpoint, model_from_checkpoint):
+                with pytest.raises(FormatError, match="truncated") as err:
+                    read(path)
+                assert str(path) in str(err.value)
+
+    def test_file_cut_short_after_its_size_was_taken(self, saved,
+                                                     monkeypatch):
+        """A read past the new end comes back short."""
+        path, _ = saved
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=len(blob)))
+        for read in (read_checkpoint, model_from_checkpoint):
+            with pytest.raises(FormatError,
+                               match="truncated while reading") as err:
+                read(path)
+            assert str(path) in str(err.value)
+
+
+def _records(blob):
+    """(name, start of its extents, start and end of its payload) for each
+    tensor record of a checkpoint's bytes."""
+    pos = len(MAGIC) + 4 + struct.unpack_from("<I", blob, len(MAGIC))[0]
+    while pos < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4:pos + 4 + name_len].decode()
+        (rank,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
+        extents = pos + 8 + name_len
+        start = extents + 8 * rank
+        end = start + 8 * math.prod(struct.unpack_from(f"<{rank}Q", blob,
+                                                       extents))
+        yield name, extents, start, end
+        pos = end
+
+
+class TestSkippedRecords:
+    """A model's load reads the param/ and state/ records and seeks past
+    Adam's, whose headers and extents it still checks."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(tiny_model_config(), seed=3)
+        optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+        rng = make_rng(3, 1)
+        for _, p in optimizer.named_params:
+            p.grad = rng.normal(size=p.data.shape)
+        optimizer.step()
+        path = tmp_path / "adam.ckpt"
+        save_checkpoint(path, model, optimizer, epoch=1)
+        return path, model, optimizer
+
+    @staticmethod
+    def tensors(model):
+        arrays = [(name, p.data) for name, p in model.named_parameters()]
+        return [(name, arr.dtype, arr.tobytes())
+                for name, arr in arrays + model.named_state()]
+
+    def assert_refused(self, path, match):
+        with pytest.raises(FormatError, match=match) as err:
+            model_from_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_adam_does_not_change_the_model(self, saved, tmp_path):
+        path, model, _ = saved
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(plain, model, epoch=1)
+        assert path.stat().st_size > 2 * plain.stat().st_size
+        with_adam = self.tensors(model_from_checkpoint(path))
+        assert with_adam == self.tensors(model_from_checkpoint(plain))
+        assert with_adam == self.tensors(model)
+
+    @pytest.mark.parametrize("load", ["model_from_checkpoint",
+                                      "load_checkpoint",
+                                      "load_checkpoint-with-adam"])
+    def test_adam_payloads_never_read(self, saved, monkeypatch, load):
+        path, _, _ = saved
+        blob = path.read_bytes()
+        adam = sum(end - start for name, _, start, end in _records(blob)
+                   if name.startswith(("adam_m/", "adam_v/")))
+        assert adam > len(blob) // 2
+        counted = []
+
+        class Counting:
+            """A file whose reads add their byte counts to ``counted``."""
+
+            def __init__(self, *args):
+                self.fh = open(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, buf):
+                counted.append(self.fh.readinto(buf))
+                return counted[-1]
+
+            def read(self, *size):
+                data = self.fh.read(*size)
+                counted.append(len(data))
+                return data
+
+        monkeypatch.setattr(pignet.training, "open", Counting, raising=False)
+        model = build_model(tiny_model_config(), seed=0)
+        with_adam = load.endswith("-with-adam")
+        if load == "model_from_checkpoint":
+            model_from_checkpoint(path)
+        else:
+            load_checkpoint(path, model, AdamOptimizer.for_model(
+                model, TrainConfig(epochs=1)) if with_adam else None)
+        assert sum(counted) == len(blob) - (0 if with_adam else adam)
+
+    @pytest.mark.parametrize("edit", ["cut", "grown-extent"])
+    def test_skipped_payload_past_the_end_is_truncated(self, saved, edit):
+        path, _, _ = saved
+        blob = bytearray(path.read_bytes())
+        records = list(_records(bytes(blob)))
+        assert records[-1][0].startswith("adam_v/")
+        if edit == "cut":  # the last record's payload loses its last value
+            blob = blob[:-8]
+        else:  # the first Adam record claims 2**40 values in its first axis
+            _, extents, _, _ = next(r for r in records
+                                    if r[0].startswith("adam_m/"))
+            struct.pack_into("<Q", blob, extents, 2**40)
+        path.write_bytes(bytes(blob))
+        self.assert_refused(path, "truncated")
+
+    def test_trailing_bytes_after_a_skipped_last_record(self, saved):
+        path, _, _ = saved
+        path.write_bytes(path.read_bytes() + bytes(8))
+        self.assert_refused(path, "8 trailing bytes")
+
+    def test_file_shrinking_past_a_skipped_last_record(self, saved,
+                                                       monkeypatch):
+        path, _, _ = saved
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 8))
+        self.assert_refused(path, "truncated")
+
+    def test_rank_beyond_numpy_in_a_skipped_record(self, tmp_path):
+        """The only bad record is Adam's, which a model load skips."""
+        model = build_model(tiny_model_config(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        TestCorruptMetadata.rewrite_meta(
+            path, lambda meta: meta.update(tensor_count=meta["tensor_count"]
+                                           + 1))
+        name = b"adam_m/input_tnet/conv0/weight"
+        path.write_bytes(path.read_bytes() + struct.pack("<I", len(name))
+                         + name + struct.pack("<I", 65) + bytes(8 * 65))
+        self.assert_refused(path, "rank 65")
 
 
 class TestNumpyScalarConfig:
@@ -493,6 +665,17 @@ class TestCorruptMetadata:
         path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes
                          + struct.pack("<I", 1) + b"w" + struct.pack("<I", 65)
                          + bytes(8 * 65))
+        self.assert_rejected(read_checkpoint, path)
+        self.assert_load_rejected_untouched(path)
+
+    def test_tensor_extent_beyond_numpy(self, tmp_path):
+        """A zero-size tensor fits in the file whatever its other extents,
+        but numpy refuses an extent of 2**64 - 1."""
+        meta_bytes = json.dumps({"tensor_count": 1}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2)
+                         + struct.pack("<2Q", 0, 2**64 - 1))
         self.assert_rejected(read_checkpoint, path)
         self.assert_load_rejected_untouched(path)
 
