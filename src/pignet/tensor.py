@@ -3,13 +3,13 @@
 The graph is define-by-run: each operation passes its result, its inputs
 and its backward rule to ``_record``, which keeps the inputs in
 ``_parents`` and the rule on the output when recording, and ``backward()``
-replays the recording once in reverse topological order. A rule maps the
-output's gradient to one gradient per parent, in ``_parents`` order, each
-shaped like that parent; ``backward()`` alone adds them into the parents
-that require a gradient. Masks, indices and offsets that only a gradient
-needs are built by the rule, when ``backward()`` calls it. Arrays are numpy
-underneath; float64 is the default so gradient checks stay meaningful,
-float32 is accepted for faster training runs.
+replays the recording once in reverse topological order, freeing it as it
+goes. A rule maps the output's gradient to one gradient per parent, in
+``_parents`` order, each shaped like that parent; ``backward()`` alone adds
+them into the parents that require a gradient. Masks, indices and offsets
+that only a gradient needs are built by the rule, when ``backward()`` calls
+it. Arrays are numpy underneath; float64 is the default so gradient checks
+stay meaningful, float32 is accepted for faster training runs.
 """
 
 import math
@@ -375,33 +375,39 @@ def graph_order(root):
 
 
 def backward(root):
-    """Populate ``grad`` on every reachable requires_grad tensor.
+    """Add into ``grad`` of every reachable leaf that requires a gradient.
 
-    The seed must be scalar, and each recorded node can be walked once: a
-    call that reaches the root or a recorded node of an earlier call raises
-    ``UsageError``; build a fresh forward pass before calling again.
+    Each recorded node drops its gradient, rule and parents once its rule
+    has run, so only leaves keep ``grad``. The seed must be scalar, and each
+    recorded node can be walked once: a call that reaches the root or a
+    recorded node of an earlier call raises ``UsageError``; build a fresh
+    forward pass before calling again.
     """
     if not isinstance(root, Tensor):
         raise UsageError("backward expects a Tensor")
     if root.size != 1:
         raise UsageError(f"backward seed must be scalar, got shape {root.shape}")
     order = graph_order(root) if root.requires_grad else [root]
-    walked = [node for node in order if node._parents or node is root]
+    # a walked node keeps its op and its mark, but not its parents
+    walked = [node for node in order if node._op != "leaf" or node is root]
     if any(node._backward_ran for node in walked):
         raise UsageError(
             "backward already ran through this graph; rebuild the forward "
             "pass first")
     for node in walked:
         node._backward_ran = True
+    del walked  # so each node can go once the walk passes it
     if not root.requires_grad:
         return
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward_fn is not None:
             grads = node._backward_fn(node.grad)
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     _accumulate(parent, g)
+            node.grad, node._backward_fn, node._parents = None, None, ()
             del grads, g  # freed now, not held while the next rule runs
 
 

@@ -302,15 +302,17 @@ def read_checkpoint(path, prefixes=("",)):
                 raise FormatError(f"{path} holds tensor {name} of rank {rank}")
             shape = struct.unpack(f"<{rank}Q", grab(8 * rank, "tensor extents"))
             count = 8 * math.prod(shape)
-            if name.startswith(prefixes):
-                try:
+            try:
+                if name.startswith(prefixes):
                     arrays[name] = grab(count, f"tensor {name}", shape)
-                except ValueError as exc:  # extents numpy cannot hold
-                    raise FormatError(f"{path} holds tensor {name} of rank "
-                                      f"{rank}: {exc}") from None
-            else:
-                take(count, f"tensor {name}")
-                fh.seek(pos)
+                else:
+                    take(count, f"tensor {name}")
+                    fh.seek(pos)
+                    if not count:  # a size of 0 lets any extent past take()
+                        np.empty(shape, "<f8")
+            except ValueError as exc:  # extents numpy cannot hold
+                raise FormatError(f"{path} holds tensor {name} of rank "
+                                  f"{rank}: {exc}") from None
         end = fh.seek(0, os.SEEK_END)
     if end < size:  # a skipped last record may lie past the shrunk end
         raise FormatError(f"{path} is truncated to {end} of {size} bytes")

@@ -410,6 +410,26 @@ class TestRungExecution:
         assert ops.count("batch_norm_relu") == 21 and "batch_norm" not in ops
         assert ops.count("relu") == 4  # the T-Nets' fully connected layers
 
+    def test_backward_frees_the_recorded_graph(self):
+        model = build_model(tiny_config(), seed=0)
+        rng = np.random.default_rng(0)
+        logits, mat = model.forward(rng.normal(size=(2, 24, 3)),
+                                    training=True)
+        loss = segmentation_loss(logits, rng.integers(0, 3, size=(2, 24)),
+                                 mat, 0.001)
+        order = graph_order(loss)
+        recorded = [node for node in order if node._parents]
+        leaves = [node for node in order
+                  if not node._parents and node.requires_grad]
+        backward(loss)
+        assert recorded and leaves
+        for node in recorded:
+            assert node.grad is None and node._backward_fn is None
+            assert node._parents == () and node._backward_ran
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert {id(p) for _, p in model.named_parameters()} <= \
+            {id(leaf) for leaf in leaves}
+
     def test_no_grad_train_forward_updates_running_statistics(self):
         for config, expected in zip((tiny_config(feature_reduce=8),
                                      _pointnet_config()),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,14 @@ class TestBackward:
         backward(reduce_sum(w * 2.0))
         assert np.array_equal(w.grad, [5.0])
 
+    def test_leaf_seed_stays_usable_as_an_input(self):
+        w = t([2.0])
+        backward(w)
+        backward(reduce_sum(w * 3.0))
+        assert np.array_equal(w.grad, [4.0])
+        with pytest.raises(UsageError, match="already ran"):
+            backward(w)
+
     def test_diamond_graph_accumulates(self):
         x = t([2.0])
         y = x * x + x * 3.0
@@ -356,6 +366,20 @@ class TestBackward:
         backward(reduce_sum(x + x))
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
         assert x.grad.flags.writeable
+
+    def test_walked_arrays_freed_while_the_loss_lives(self):
+        # the sum's rule held h, and h held its array, until the caller
+        # dropped the loss
+        x = t(np.ones((2, 3)), grad=False)
+        w = t(np.ones((3, 4)))
+        h = relu(matmul(x, w))
+        array = weakref.ref(h.data)
+        loss = reduce_sum(h)
+        del h
+        backward(loss)
+        assert array() is None
+        assert loss._parents == () and loss._backward_fn is None
+        assert np.array_equal(w.grad, np.full((3, 4), 2.0))
 
     def test_graph_order_is_topological(self):
         x = t([1.0])

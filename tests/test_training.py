@@ -557,6 +557,23 @@ class TestSkippedRecords:
                          + name + struct.pack("<I", 65) + bytes(8 * 65))
         self.assert_refused(path, "rank 65")
 
+    def test_extent_beyond_numpy_in_a_skipped_record(self, tmp_path):
+        """A zero-size Adam record needs no payload, but numpy refuses an
+        extent of 2**64 - 1 whether or not the load reads it."""
+        model = build_model(tiny_model_config(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        TestCorruptMetadata.rewrite_meta(
+            path, lambda meta: meta.update(tensor_count=meta["tensor_count"]
+                                           + 1))
+        name = b"adam_m/x"
+        path.write_bytes(path.read_bytes() + struct.pack("<I", len(name))
+                         + name + struct.pack("<I", 2)
+                         + struct.pack("<2Q", 0, 2**64 - 1))
+        self.assert_refused(path, "adam_m/x of rank 2")
+        with pytest.raises(FormatError, match="adam_m/x of rank 2"):
+            read_checkpoint(path)
+
 
 class TestNumpyScalarConfig:
     """numpy scalars are stored as their builtin values."""
