@@ -207,16 +207,11 @@ def robustness_run(model, baseline, records, seed,
     the plain evaluation at that point count bit for bit under the same seed.
     """
     clouds = [r.labeled_cloud() for r in records]
-    grids = {}
-    models = {"pignet": model}
-    if baseline is not None:
-        models["pointnet"] = baseline
-    for name, m in models.items():
-        grids[name] = {
-            (density, sigma): _score(m, records, clouds, seed, density,
-                                     sigma).instance_miou
-            for density in densities for sigma in sigmas}
-    return grids
+    models = {"pignet": model, "pointnet": baseline}
+    return {name: {(density, sigma): _score(m, records, clouds, seed, density,
+                                            sigma).instance_miou
+                   for density in densities for sigma in sigmas}
+            for name, m in models.items() if m is not None}
 
 
 def robustness_tsv(grid, densities=DENSITY_LEVELS, sigmas=NOISE_LEVELS):

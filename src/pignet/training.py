@@ -6,9 +6,9 @@ state, tensor count), then one record per tensor: u32 name length, the name,
 u32 rank, u64 extents, and the values as little-endian float64.
 
 A save streams the header and then each record to a temporary file and
-renames it over the target. A read checks every record header and reads only
-the tensors its caller names. ``model_from_checkpoint`` builds its model
-without drawing initial weights, since the file overwrites every one.
+renames it over the target. A read walks every record header, then casts
+each payload its caller names into an array a target function gives (for
+``model_from_checkpoint``, the model's own) through one fixed 1 MiB buffer.
 """
 
 import hashlib
@@ -30,6 +30,7 @@ from .model import (ModelConfig, _integer, _real, build_model, config_hash,
 from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
+FILL_VALUES = 1 << 17  # float64 values per payload read: a fixed 1 MiB
 
 
 @dataclass
@@ -248,13 +249,17 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
         raise
 
 
-def read_checkpoint(path, prefixes=("",)):
+def _fresh_arrays(meta, shapes):
+    return {name: np.empty(shape, "<f8") for name, shape in shapes.items()}
+
+
+def read_checkpoint(path, prefixes=("",), targets=_fresh_arrays):
     """Parse a checkpoint into (metadata, {name: array}); no model needed.
 
-    Every record header is checked, but only the tensors whose names start
-    with one of ``prefixes`` are read, each into its own writable
-    little-endian float64 array; the reader seeks past the others.
-    """
+    A walk checks every record header and notes where each tensor named with
+    one of ``prefixes`` lies. ``targets(meta, {name: shape})`` then gives a
+    C-contiguous array for each (by default a fresh float64 one), and each
+    payload is cast into it through one buffer of ``FILL_VALUES`` values."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         pos = 0
@@ -265,10 +270,10 @@ def read_checkpoint(path, prefixes=("",)):
                 raise FormatError(f"{path} is truncated while reading {what}")
             pos += count
 
-        def grab(count, what, shape=None):
+        def grab(count, what):
             take(count, what)
-            buf = bytearray(count) if shape is None else np.empty(shape, "<f8")
-            if fh.readinto(buf) != count:  # the file shrank since its stat
+            buf = fh.read(count)
+            if len(buf) != count:  # the file shrank since its stat
                 raise FormatError(f"{path} is truncated while reading {what}")
             return buf
 
@@ -289,7 +294,7 @@ def read_checkpoint(path, prefixes=("",)):
                     nullable and value is None):
                 raise FormatError(
                     f"{path} metadata has {key} {value!r}, not a count")
-        arrays = {}
+        records = {}  # name: (shape, payload offset) of every record
         for _ in range(meta.get("tensor_count", 0)):
             (name_len,) = struct.unpack("<I", grab(4, "tensor name length"))
             try:
@@ -297,60 +302,70 @@ def read_checkpoint(path, prefixes=("",)):
             except UnicodeDecodeError:
                 raise FormatError(
                     f"{path} holds a tensor name that is not UTF-8")
+            if name in records:
+                raise FormatError(f"{path} holds tensor {name} twice")
             (rank,) = struct.unpack("<I", grab(4, "tensor rank"))
-            if rank > 64:  # numpy 2's limit, checked on skipped records too
+            if rank > 64:  # numpy 2's limit
                 raise FormatError(f"{path} holds tensor {name} of rank {rank}")
             shape = struct.unpack(f"<{rank}Q", grab(8 * rank, "tensor extents"))
+            records[name] = shape, pos
             count = 8 * math.prod(shape)
-            try:
-                if name.startswith(prefixes):
-                    arrays[name] = grab(count, f"tensor {name}", shape)
-                else:
-                    take(count, f"tensor {name}")
-                    fh.seek(pos)
-                    if not count:  # a size of 0 lets any extent past take()
-                        np.empty(shape, "<f8")
-            except ValueError as exc:  # extents numpy cannot hold
-                raise FormatError(f"{path} holds tensor {name} of rank "
-                                  f"{rank}: {exc}") from None
+            take(count, f"tensor {name}")
+            fh.seek(pos)
+            if not count:  # a size of 0 lets any extent past take()
+                try:
+                    np.empty(shape, "<f8")
+                except ValueError as exc:  # extents numpy cannot hold
+                    raise FormatError(f"{path} holds tensor {name} of rank "
+                                      f"{rank}: {exc}") from None
         end = fh.seek(0, os.SEEK_END)
-    if end < size:  # a skipped last record may lie past the shrunk end
-        raise FormatError(f"{path} is truncated to {end} of {size} bytes")
-    if pos != size:
-        raise FormatError(f"{path} has {size - pos} trailing bytes")
+        if end < size:  # a last record may lie past the shrunk end
+            raise FormatError(f"{path} is truncated to {end} of {size} bytes")
+        if pos != size:
+            raise FormatError(f"{path} has {size - pos} trailing bytes")
+        arrays = targets(meta, {name: shape for name, (shape, _) in
+                                records.items() if name.startswith(prefixes)})
+        buf = np.empty(FILL_VALUES, "<f8")
+        for name, target in arrays.items():
+            flat = target.reshape(-1)  # a view: every target is contiguous
+            fh.seek(records[name][1])
+            for start in range(0, flat.size, FILL_VALUES):
+                chunk = buf[:flat.size - start]
+                if fh.readinto(chunk) != chunk.nbytes:  # the file shrank
+                    raise FormatError(
+                        f"{path} is truncated while reading tensor {name}")
+                flat[start:start + chunk.size] = chunk  # casts to its dtype
     return meta, arrays
 
 
-def load_checkpoint(path, model, optimizer=None):
-    """Restore state in place after validating the whole file.
-
-    Returns (epoch, rng_state). A hash mismatch or an unexpected tensor set
-    raises before anything is applied.
-    """
-    meta, arrays = read_checkpoint(
-        path, ("param/", "state/") if optimizer is None else ("",))
-    return _apply_checkpoint(meta, arrays, model, optimizer)
-
-
-def _apply_checkpoint(meta, arrays, model, optimizer=None):
-    """Validate a parsed checkpoint against the model, then copy it in."""
+def _checked_targets(meta, shapes, model, optimizer=None):
+    """The model's (and optimizer's) arrays by name, once the file matches."""
     if meta.get("config_hash") != config_hash(model.config):
         raise CompatibilityError(
             "checkpoint was written for a different configuration "
             f"(hash {meta.get('config_hash')!r})")
-    expected = _named_arrays(model, optimizer)
-    wanted = {name for name, _ in expected}
-    missing = wanted - set(arrays)
-    if missing:
-        raise CompatibilityError(
-            f"checkpoint lacks tensors: {sorted(missing)[:3]}...")
-    for name, target in expected:
-        stored = arrays[name]
-        if stored.shape != target.shape:
+    targets = dict(_named_arrays(model, optimizer))
+    for what, names in (("lacks", targets.keys() - shapes.keys()),
+                        ("holds unexpected", shapes.keys() - targets.keys())):
+        if names:
             raise CompatibilityError(
-                f"tensor {name} has shape {stored.shape}, expected "
+                f"checkpoint {what} tensors: {sorted(names)[:3]}...")
+    for name, target in targets.items():
+        if shapes[name] != target.shape:
+            raise CompatibilityError(
+                f"tensor {name} has shape {shapes[name]}, expected "
                 f"{target.shape}")
-    for name, target in expected:
+    return targets
+
+
+def load_checkpoint(path, model, optimizer=None):
+    """Restore state in place after validating the whole file; returns
+    (epoch, rng_state). The file is read into fresh arrays, so a bad record,
+    hash or tensor set raises before anything is applied."""
+    meta, arrays = read_checkpoint(
+        path, ("param/", "state/") if optimizer is None else ("",))
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    for name, target in _checked_targets(meta, shapes, model, optimizer).items():
         target[...] = arrays[name]  # casts to the model's dtype in place
     if optimizer is not None and meta.get("adam_step_count") is not None:
         optimizer.step_count = meta["adam_step_count"]
@@ -358,24 +373,28 @@ def _apply_checkpoint(meta, arrays, model, optimizer=None):
 
 
 def model_from_checkpoint(path):
-    """Rebuild the saved configuration and load the weights into it; the
-    model is built without drawing initial weights, and only once the
-    configuration's closed-form parameter count matches the file's."""
-    meta, arrays = read_checkpoint(path, ("param/", "state/"))
-    cfg_dict = meta.get("config")
-    if not isinstance(cfg_dict, dict):
-        raise FormatError(f"{path} metadata lacks the model configuration")
-    try:
-        config = ModelConfig(**cfg_dict)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise FormatError(
-            f"{path} holds an invalid model configuration: {exc}") from exc
-    stored = sum(array.size for name, array in arrays.items()
-                 if name.startswith("param/"))
-    if parameter_count(config) != stored:
-        raise FormatError(
-            f"{path} holds {stored} parameter values, but its model "
-            f"configuration has {parameter_count(config)}")
-    model = build_model(config, seed=None)
-    _apply_checkpoint(meta, arrays, model)
+    """Rebuild the saved configuration, drawing no initial weights, once its
+    closed-form parameter count matches the file's; read the file into it."""
+    model = None
+
+    def model_arrays(meta, shapes):
+        nonlocal model
+        cfg_dict = meta.get("config")
+        if not isinstance(cfg_dict, dict):
+            raise FormatError(f"{path} metadata lacks the model configuration")
+        try:
+            config = ModelConfig(**cfg_dict)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise FormatError(
+                f"{path} holds an invalid model configuration: {exc}") from exc
+        stored = sum(math.prod(shape) for name, shape in shapes.items()
+                     if name.startswith("param/"))
+        if parameter_count(config) != stored:
+            raise FormatError(
+                f"{path} holds {stored} parameter values, but its model "
+                f"configuration has {parameter_count(config)}")
+        model = build_model(config, seed=None)
+        return _checked_targets(meta, shapes, model)
+
+    read_checkpoint(path, ("param/", "state/"), model_arrays)
     return model

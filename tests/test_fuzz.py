@@ -139,21 +139,24 @@ def saved(workdir):
 
 @functools.cache
 def layout(path):
-    """The bytes of a checkpoint, and the offsets of every byte that is not
-    tensor data."""
+    """The bytes of a checkpoint, the offsets of every byte that is not
+    tensor data, and the (name, start, end) of every record."""
     blob = path.read_bytes()
     pos = len(MAGIC) + 4 + struct.unpack_from("<I", blob, len(MAGIC))[0]
     offsets = list(range(pos))
+    records = []
     while pos < len(blob):
         start = pos
         (name_len,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4:pos + 4 + name_len].decode()
         (rank,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
         pos += 8 + name_len
         shape = struct.unpack_from(f"<{rank}Q", blob, pos)
         pos += 8 * rank
         offsets.extend(range(start, pos))
         pos += 8 * math.prod(shape)
-    return blob, offsets
+        records.append((name, start, pos))
+    return blob, offsets, tuple(records)
 
 
 # positive sizes spread evenly over the decades up to 1e20
@@ -178,12 +181,54 @@ EDITS = st.one_of(
         st.booleans()),
     st.tuples(st.just("meta"), st.dictionaries(
         st.sampled_from(META_KEYS), META_VALUES, min_size=1, max_size=1),
-        st.just(False)))
+        st.just(False)),
+    # (an edit of one record: duplicate it, drop it, or rename a param/ or
+    # state/ record to another record's name or to a new one; which record;
+    # the new name; whether tensor_count follows the record count)
+    st.tuples(st.just("records"), st.tuples(
+        st.sampled_from(["duplicate", "drop", "rename"]), st.integers(0, 2**10),
+        st.integers(0, 2**10) | st.tuples(st.sampled_from(["param/", "state/"]),
+                                          st.text(max_size=3))),
+        st.booleans()))
 
 
-def edited(blob, offsets, edit):
+def with_meta(blob, update):
+    """``blob`` with ``update`` applied to its metadata."""
+    start = len(MAGIC) + 4
+    end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
+    meta = json.loads(blob[start:end])
+    update(meta)
+    meta_bytes = json.dumps(meta).encode()
+    return MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[end:]
+
+
+def edited_records(blob, records, change, recount):
+    """``blob`` after one record-level edit."""
+    op, pick, new_name = change
+    parts = [blob[start:end] for _, start, end in records]
+    if op == "rename":
+        ours = [i for i, (name, _, _) in enumerate(records)
+                if name.startswith(("param/", "state/"))]
+        i = ours[pick % len(ours)]
+        name = (records[ours[new_name % len(ours)]][0]
+                if isinstance(new_name, int) else "".join(new_name)).encode()
+        (old_len,) = struct.unpack_from("<I", parts[i])
+        parts[i] = struct.pack("<I", len(name)) + name + parts[i][4 + old_len:]
+    else:
+        i = pick % len(parts)
+        parts[i:i + 1] = [parts[i]] * (2 if op == "duplicate" else 0)
+    blob = blob[:records[0][1]] + b"".join(parts)
+    if recount and op != "rename":
+        blob = with_meta(blob, lambda meta: meta.update(
+            tensor_count=len(parts)))
+    return blob
+
+
+def edited(blob, offsets, records, edit):
     """``blob`` after ``edit``; a byte or cut position wraps around."""
     kind, change, rehash = edit
+    if kind == "records":
+        return edited_records(blob, records, change, rehash)
     if kind == "bytes":
         blob = bytearray(blob)
         for structural, pick, value in change:
@@ -192,24 +237,24 @@ def edited(blob, offsets, edit):
         return bytes(blob)
     if kind == "truncate":
         return blob[:change % len(blob)]
-    start = len(MAGIC) + 4
-    end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
-    meta = json.loads(blob[start:end])
-    (meta["config"] if kind == "config" else meta).update(change)
-    if rehash:
-        try:
-            meta["config_hash"] = config_hash(ModelConfig(**meta["config"]))
-        except (PignetError, TypeError):
-            pass
-    meta_bytes = json.dumps(meta).encode()
-    return MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes + blob[end:]
+
+    def update(meta):
+        (meta["config"] if kind == "config" else meta).update(change)
+        if rehash:
+            try:
+                meta["config_hash"] = config_hash(ModelConfig(**meta["config"]))
+            except (PignetError, TypeError):
+                pass
+
+    return with_meta(blob, update)
 
 
 @fuzz(600)
 @given(edit=EDITS)
 def test_edited_checkpoint_raises_only_pignet_errors(workdir, saved, edit):
     path = workdir / "edited.ckpt"
-    path.write_bytes(edited(*layout(saved), edit))
+    blob = edited(*layout(saved), edit)
+    path.write_bytes(blob)
     model = build_model(tiny_config(), seed=1)
     before = parameter_hash(model)
     try:
@@ -217,6 +262,10 @@ def test_edited_checkpoint_raises_only_pignet_errors(workdir, saved, edit):
             model, TrainConfig(epochs=1)))
     except PignetError:
         assert parameter_hash(model) == before
+    else:
+        # a load with an optimizer reads every record, so any change to
+        # the record set is refused
+        assert edit[0] != "records" or blob == layout(saved)[0]
     try:
         model_from_checkpoint(path)
     except PignetError:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -418,6 +419,43 @@ class TestCheckpointLoadPath:
                 read(path)
             assert str(path) in str(err.value)
 
+    def test_file_cut_short_during_the_fill(self, saved, monkeypatch):
+        """The walk finds every record whole; the payloads are cut while
+        the model is built, after the walk and before the fill."""
+        path, _ = saved
+        blob = path.read_bytes()
+        real_build = pignet.training.build_model
+
+        def cut_then_build(config, seed):
+            path.write_bytes(blob[:len(blob) // 2])
+            return real_build(config, seed=seed)
+
+        monkeypatch.setattr(pignet.training, "build_model", cut_then_build)
+        with pytest.raises(FormatError,
+                           match="truncated while reading tensor ") as err:
+            model_from_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_load_holds_no_copy_of_the_model(self, tmp_path, dtype):
+        """At the benchmark's configuration the traced peak of a load is
+        the model's own bytes plus at most 2 MiB: each payload goes into the
+        model's arrays through one fixed buffer."""
+        model = build_model(ModelConfig(num_parts=3, inception_plan=(8, 16, 24),
+                                        dtype=dtype), seed=0)
+        own = sum(p.data.nbytes for _, p in model.named_parameters()) + sum(
+            arr.nbytes for _, arr in model.named_state())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        del model
+        tracemalloc.start()
+        try:
+            model_from_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= own + 2 * 2**20
+
 
 def _records(blob):
     """(name, start of its extents, start and end of its payload) for each
@@ -573,6 +611,77 @@ class TestSkippedRecords:
         self.assert_refused(path, "adam_m/x of rank 2")
         with pytest.raises(FormatError, match="adam_m/x of rank 2"):
             read_checkpoint(path)
+
+
+class TestRecordSet:
+    """A checkpoint names each tensor once, and a load refuses a record under
+    the prefixes it reads that the model (or its optimizer) lacks."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(tiny_model_config(), seed=3)
+        optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, optimizer)
+        return path
+
+    @staticmethod
+    def add_record(path, name, values):
+        """Append a record of ``values`` and count it in the metadata."""
+        TestCorruptMetadata.rewrite_meta(
+            path, lambda meta: meta.update(tensor_count=meta["tensor_count"]
+                                           + 1))
+        name = name.encode()
+        data = np.asarray(values, "<f8")
+        path.write_bytes(path.read_bytes() + struct.pack(
+            f"<I{len(name)}sI{data.ndim}Q", len(name), name, data.ndim,
+            *data.shape) + data.tobytes())
+
+    @staticmethod
+    def target():
+        model = build_model(tiny_model_config(), seed=5)
+        return model, AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+
+    def test_a_tensor_named_twice_is_refused(self, saved):
+        model, optimizer = self.target()
+        before = parameter_hash(model)
+        running_var = model.head.bn1.running_var.copy()
+        self.add_record(saved, "state/head/bn1/running_var",
+                        np.full(running_var.shape, 7.0))
+        for read in (read_checkpoint, model_from_checkpoint,
+                     lambda p: load_checkpoint(p, model),
+                     lambda p: load_checkpoint(p, model, optimizer)):
+            with pytest.raises(FormatError, match="holds tensor state/head/"
+                               "bn1/running_var twice") as err:
+                read(saved)
+            assert str(saved) in str(err.value)
+        assert parameter_hash(model) == before
+        assert np.array_equal(model.head.bn1.running_var, running_var)
+
+    def test_an_unexpected_state_record_is_refused(self, saved):
+        model, optimizer = self.target()
+        before = parameter_hash(model)
+        self.add_record(saved, "state/bogus", [1.0, 2.0])
+        for load in (model_from_checkpoint,
+                     lambda p: load_checkpoint(p, model),
+                     lambda p: load_checkpoint(p, model, optimizer)):
+            with pytest.raises(CompatibilityError,
+                               match=r"unexpected tensors: \['state/bogus'\]"):
+                load(saved)
+        assert parameter_hash(model) == before
+
+    def test_an_unexpected_adam_record_is_refused_with_an_optimizer(self,
+                                                                  saved):
+        model, optimizer = self.target()
+        self.add_record(saved, "adam_m/bogus", [1.0])
+        with pytest.raises(CompatibilityError,
+                           match=r"unexpected tensors: \['adam_m/bogus'\]"):
+            load_checkpoint(saved, model, optimizer)
+        assert optimizer.step_count == 0
+        # a model's load skips Adam's records
+        assert parameter_hash(model_from_checkpoint(saved)) == parameter_hash(
+            build_model(tiny_model_config(), seed=3))
+        load_checkpoint(saved, model)
 
 
 class TestNumpyScalarConfig:
