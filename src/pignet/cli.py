@@ -2,9 +2,9 @@
 inspect.
 
 Configuration comes from an INI-style file with sections [data], [model],
-[train] and [augment]; command-line flags override file values. Every run
-writes its artifacts under ``<out>/run-<timestamp>/`` together with a copy of
-the effective configuration, so a run is reproducible from that copy alone.
+[train] and [augment]; the flags of the keys a command reads override file
+values. Every run writes its artifacts under ``<out>/run-<timestamp>/`` with
+a copy of the effective configuration, which alone reproduces the run.
 """
 
 import argparse
@@ -192,8 +192,8 @@ def _logger(run_dir):
     return log
 
 
-# the flags of every command that reads a config: (flag, section, key,
-# argparse options); each overrides its INI key
+# the flags overriding INI keys: (flag, section, key, argparse options); a
+# command takes those of the keys it reads (_COMMANDS), the rest read unset
 _FLAGS = [
     ("--data-root", "data", "root", dict(type=str)),
     ("--category", "data", "category", dict(type=str)),
@@ -213,7 +213,7 @@ _FLAGS = [
 
 
 def _common_overrides(args):
-    return [(section, key, getattr(args, flag[2:].replace("-", "_")))
+    return [(section, key, getattr(args, flag[2:].replace("-", "_"), None))
             for flag, section, key, _ in _FLAGS]
 
 
@@ -407,22 +407,30 @@ def cmd_inspect(args):
     print(f"total parameters: {total}")
 
 
+def _config_flags(*flags):
+    """--config and the named override flags, in _FLAGS order."""
+    return [("--config", dict(help="INI config file; flags override it")),
+            *((flag, opts) for flag, _, _, opts in _FLAGS if flag in flags)]
+
+
+_EVERY = _config_flags(*(flag for flag, *_ in _FLAGS))
+_HELD_OUT = ("--data-root", "--category", "--seed", "--out")
 _SPLIT = ("--split", dict(choices=["train", "val", "test"], default="test"))
 _CHECKPOINT = ("--checkpoint", dict(type=str, required=True))
+_SCORING = _config_flags(*_HELD_OUT, "--points") + [_CHECKPOINT, _SPLIT]
 
-# (name, command, help, its own flags); every command but synth also takes
-# --config and the _FLAGS
+# (name, command, help, its flags): --config and the flags of the keys it
+# reads (a checkpoint fixes the model, the grid its densities), then its own
 _COMMANDS = [
-    ("train", cmd_train, "train one per-category model", []),
-    ("eval", cmd_eval, "evaluate a checkpoint", [_CHECKPOINT, _SPLIT]),
-    ("predict", cmd_predict, "export colored PLY predictions",
-     [_CHECKPOINT, _SPLIT]),
+    ("train", cmd_train, "train one per-category model", _EVERY),
+    ("eval", cmd_eval, "evaluate a checkpoint", _SCORING),
+    ("predict", cmd_predict, "export colored PLY predictions", _SCORING),
     ("ablate", cmd_ablate, "train and compare architecture variants",
-     [_SPLIT]),
+     _EVERY + [_SPLIT]),
     ("robustness", cmd_robustness,
      "density/noise robustness grid for checkpoints",
-     [_CHECKPOINT, ("--baseline-checkpoint", dict(type=str, default=None)),
-      _SPLIT]),
+     _config_flags(*_HELD_OUT)
+     + [_CHECKPOINT, ("--baseline-checkpoint", dict(type=str)), _SPLIT]),
     ("synth", cmd_synth, "generate a labeled synthetic dataset", [
         ("--shapes", dict(type=str, required=True,
                           help="comma-separated shape categories "
@@ -435,7 +443,8 @@ _COMMANDS = [
                                 help="points generated per shape")),
         ("--seed", dict(type=int, default=0)),
         ("--out", dict(type=str, required=True))]),
-    ("inspect", cmd_inspect, "print parameter count and layout", []),
+    ("inspect", cmd_inspect, "print parameter count and layout",
+     _config_flags("--arch", "--num-parts", "--plan", "--dtype")),
 ]
 
 
@@ -444,13 +453,9 @@ def build_parser():
         prog="pignet",
         description="Point-cloud part segmentation: train, evaluate, ablate.")
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = [("--config", dict(type=str, default=None,
-                                help="INI config file; flags override it")),
-              *((flag, dict(default=None, **options))
-                for flag, _, _, options in _FLAGS)]
-    for name, func, help_text, own in _COMMANDS:
+    for name, func, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag, options in (own if name == "synth" else shared + own):
+        for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=func)
     return parser

@@ -136,8 +136,12 @@ def ablation_variants(base_config):
 
     Three inception depths (one layer shallower, the base plan, one layer
     deeper with doubled filters), the plain-conv stack, and the max-pool
-    aggregation; everything else stays at the base configuration.
+    aggregation; everything else stays at the base configuration. Each
+    variant changes only PIG-Net fields, so the base must be a PIG-Net.
     """
+    if base_config.arch != "pignet":
+        raise ConfigError("ablation varies only PIG-Net fields, so arch "
+                          f"{base_config.arch} gives five identical networks")
     plan = base_config.inception_plan
     if len(plan) < 2:
         raise ConfigError("ablation needs a base plan with >= 2 layers")
@@ -200,18 +204,23 @@ def ablation_tsv(rows):
 
 def robustness_run(model, baseline, records, seed,
                    densities=DENSITY_LEVELS, sigmas=NOISE_LEVELS):
-    """Instance mIoU over the density-by-noise grid for both models.
+    """Instance mIoU over the density-by-noise grid for each model (the
+    baseline may be None), keyed by its arch; two models of one arch are
+    refused.
 
     Each record is parsed once, and every cell is scored from those clouds
     by evaluate_split's code, so the (max density, sigma 0) cell reproduces
     the plain evaluation at that point count bit for bit under the same seed.
     """
+    if baseline is not None and baseline.config.arch == model.config.arch:
+        raise UsageError(f"both models are {model.config.arch}; the "
+                         "robustness grids are named by arch")
     clouds = [r.labeled_cloud() for r in records]
-    models = {"pignet": model, "pointnet": baseline}
+    models = {m.config.arch: m for m in (model, baseline) if m is not None}
     return {name: {(density, sigma): _score(m, records, clouds, seed, density,
                                             sigma).instance_miou
                    for density in densities for sigma in sigmas}
-            for name, m in models.items() if m is not None}
+            for name, m in models.items()}
 
 
 def robustness_tsv(grid, densities=DENSITY_LEVELS, sigmas=NOISE_LEVELS):

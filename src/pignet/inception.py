@@ -36,12 +36,13 @@ class InceptionLayer(Module):
 
 
 class InceptionStack(Module):
-    """Sequential inception layers; layer i+1 consumes 3 * e_i channels."""
+    """Sequential inception layers over xyz points; layer i+1 consumes
+    3 * e_i channels."""
 
-    def __init__(self, plan, rng, c_in=3, dtype=np.float64):
+    def __init__(self, plan, rng, dtype=np.float64):
         if not plan:
             raise ConfigError("inception plan must not be empty")
-        width = c_in
+        width = 3
         for i, e in enumerate(plan):
             layer = InceptionLayer(width, e, rng, dtype=dtype)
             setattr(self, f"layer{i}", layer)

@@ -263,8 +263,7 @@ class TNet(Ladder):
     fresh network returns the identity transform for any input.
     """
 
-    def __init__(self, k, rng, conv_widths=(64, 128, 1024),
-                 fc_widths=(512, 256), dtype=np.float64):
+    def __init__(self, k, rng, conv_widths, fc_widths, dtype=np.float64):
         self.k = k
         super().__init__(k, conv_widths, rng, dtype)
         width = self.out_channels

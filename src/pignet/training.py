@@ -338,23 +338,25 @@ def read_checkpoint(path, prefixes=("",), targets=_fresh_arrays):
     return meta, arrays
 
 
-def _checked_targets(meta, shapes, model, optimizer=None):
-    """The model's (and optimizer's) arrays by name, once the file matches."""
+def _checked_targets(path, meta, shapes, model, optimizer=None):
+    """The model's (and optimizer's) arrays by name, once the file at
+    ``path`` matches them."""
     if meta.get("config_hash") != config_hash(model.config):
         raise CompatibilityError(
-            "checkpoint was written for a different configuration "
+            f"{path} was written for a different configuration "
             f"(hash {meta.get('config_hash')!r})")
     targets = dict(_named_arrays(model, optimizer))
     for what, names in (("lacks", targets.keys() - shapes.keys()),
                         ("holds unexpected", shapes.keys() - targets.keys())):
         if names:
             raise CompatibilityError(
-                f"checkpoint {what} tensors: {sorted(names)[:3]}...")
+                f"{path} {what} tensors: {sorted(names)[:3]}"
+                + ("..." if len(names) > 3 else ""))
     for name, target in targets.items():
         if shapes[name] != target.shape:
             raise CompatibilityError(
-                f"tensor {name} has shape {shapes[name]}, expected "
-                f"{target.shape}")
+                f"{path} holds tensor {name} of shape {shapes[name]}, "
+                f"expected {target.shape}")
     return targets
 
 
@@ -365,7 +367,8 @@ def load_checkpoint(path, model, optimizer=None):
     meta, arrays = read_checkpoint(
         path, ("param/", "state/") if optimizer is None else ("",))
     shapes = {name: arr.shape for name, arr in arrays.items()}
-    for name, target in _checked_targets(meta, shapes, model, optimizer).items():
+    for name, target in _checked_targets(path, meta, shapes, model,
+                                         optimizer).items():
         target[...] = arrays[name]  # casts to the model's dtype in place
     if optimizer is not None and meta.get("adam_step_count") is not None:
         optimizer.step_count = meta["adam_step_count"]
@@ -394,7 +397,7 @@ def model_from_checkpoint(path):
                 f"{path} holds {stored} parameter values, but its model "
                 f"configuration has {parameter_count(config)}")
         model = build_model(config, seed=None)
-        return _checked_targets(meta, shapes, model)
+        return _checked_targets(path, meta, shapes, model)
 
     read_checkpoint(path, ("param/", "state/"), model_arrays)
     return model

@@ -11,10 +11,10 @@ import pignet.cli
 import pignet.data
 import pignet.evaluation
 import pignet.training
-from pignet.cli import main, load_run_config
+from pignet.cli import build_parser, main, load_run_config
 from pignet.data import load_split
 from pignet.errors import ConfigError
-from pignet.evaluation import PART_PALETTE
+from pignet.evaluation import PART_PALETTE, robustness_run, robustness_tsv
 from pignet.model import ModelConfig, build_model, parameter_count
 from pignet.training import MAGIC, model_from_checkpoint, save_checkpoint
 
@@ -58,6 +58,48 @@ def test_help_golden(monkeypatch, capsys):
 
 
 TINY_MODEL_FLAGS = ["--plan", "4,8", "--points", "24", "--num-parts", "3"]
+
+# a value for each of the 12 override flags, and the flags each command takes
+EVERY_FLAG = {"--data-root": "data", "--category": "lamp", "--seed": "1",
+              "--epochs": "2", "--points": "24", "--out": "runs",
+              "--batch-size": "8", "--learning-rate": "0.01",
+              "--arch": "pointnet", "--num-parts": "3", "--plan": "4,8",
+              "--dtype": "float32"}
+HELD_OUT = ["--data-root", "--category", "--seed", "--out"]
+TAKEN = {"train": list(EVERY_FLAG), "ablate": list(EVERY_FLAG),
+         "eval": HELD_OUT + ["--points"], "predict": HELD_OUT + ["--points"],
+         "robustness": HELD_OUT,
+         "inspect": ["--arch", "--num-parts", "--plan", "--dtype"]}
+NOT_TAKEN = [(command, flag) for command, taken in TAKEN.items()
+             for flag in EVERY_FLAG if flag not in taken]
+
+
+def own_required(command):
+    return (["--checkpoint", "model.ckpt"]
+            if command in ("eval", "predict", "robustness") else [])
+
+
+@pytest.mark.parametrize("command", TAKEN)
+def test_each_command_takes_the_flags_it_reads(command):
+    args = build_parser().parse_args(
+        [command, *(part for flag in TAKEN[command]
+                    for part in (flag, EVERY_FLAG[flag])),
+         *own_required(command)])
+    # a flag that the command does not take reads as unset
+    assert [None if value is None else str(value) for _, _, value in
+            pignet.cli._common_overrides(args)] == [
+        EVERY_FLAG[flag] if flag in TAKEN[command] else None
+        for flag in EVERY_FLAG]
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN,
+                         ids=[f"{c}{f}" for c, f in NOT_TAKEN])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        run([command, flag, EVERY_FLAG[flag], *own_required(command)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {flag} {EVERY_FLAG[flag]}\n")
 
 
 def tiny_config_file(tmp_path):
@@ -669,7 +711,7 @@ class TestEachFileParsedOnce:
     def common(self, tmp_path, root, command):
         return [command, "--config", tiny_config_file(tmp_path),
                 "--data-root", root, "--category", "lamp",
-                "--out", tmp_path / "runs"] + TINY_MODEL_FLAGS
+                "--out", tmp_path / "runs"]
 
     @pytest.mark.parametrize("command, extra", [
         ("train", ["--epochs", "3"]),
@@ -678,7 +720,8 @@ class TestEachFileParsedOnce:
     def test_training_commands(self, tmp_path, trained, parsed, command,
                                extra):
         root, _ = trained
-        assert run(self.common(tmp_path, root, command) + extra) == 0
+        assert run(self.common(tmp_path, root, command) + TINY_MODEL_FLAGS
+                   + extra) == 0
         # num_parts is checked against the labels of all three splits
         assert sorted(parsed) == self.points_files(root, "train", "val",
                                                    "test")
@@ -686,7 +729,9 @@ class TestEachFileParsedOnce:
     @pytest.mark.parametrize("command", ["eval", "predict", "robustness"])
     def test_held_out_commands(self, tmp_path, trained, parsed, command):
         root, checkpoint = trained
-        assert run(self.common(tmp_path, root, command)
+        # the checkpoint fixes the model, and the grid its point counts
+        points = [] if command == "robustness" else ["--points", "24"]
+        assert run(self.common(tmp_path, root, command) + points
                    + ["--checkpoint", checkpoint, "--split", "test"]) == 0
         assert sorted(parsed) == self.points_files(root, "test")
 
@@ -868,13 +913,54 @@ class TestAblateRobustness:
         code = run(["robustness", "--config", config, "--data-root", root,
                     "--category", "lamp", "--checkpoint", checkpoint,
                     "--baseline-checkpoint", baseline,
-                    "--split", "train", "--out", out, "--points", "24"])
+                    "--split", "train", "--out", out])
         assert code == 0
         for name in ("pignet", "pointnet"):
             grid_file = find_run_dirs(out)[-1] / f"robustness_{name}.tsv"
             lines = grid_file.read_text().strip().split("\n")
             assert len(lines) == 5  # header + 4 density rows
             assert all(line.count("\t") == 5 for line in lines)  # 6 columns
+
+    def test_ablate_of_pointnet_exits_2_before_the_run_directory(
+            self, tmp_path, capsys, lamp_root, no_training):
+        args = tiny_train_args(tmp_path, lamp_root) + ["--arch", "pointnet"]
+        args[0] = "ablate"
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: ablation varies only PIG-Net fields, so arch "
+            "pointnet gives five identical networks\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_robustness_grid_files_name_their_models(self, tmp_path, capsys,
+                                                      lamp_root):
+        checkpoints = {}
+        for arch in ("pignet", "pointnet"):
+            checkpoints[arch] = tmp_path / f"{arch}.ckpt"
+            save_checkpoint(checkpoints[arch], build_model(ModelConfig(
+                num_parts=3, arch=arch, inception_plan=(4, 8),
+                tnet_conv_widths=(4, 8, 16), tnet_fc_widths=(8, 8),
+                head_widths=(8, 8), baseline_plan=(4, 4, 4, 8, 16)), seed=0))
+        common = ["robustness", "--data-root", lamp_root, "--category",
+                  "lamp", "--split", "train", "--out", tmp_path / "runs"]
+        # the baseline given first
+        assert run(common + ["--checkpoint", checkpoints["pointnet"],
+                             "--baseline-checkpoint",
+                             checkpoints["pignet"]]) == 0
+        (run_dir,) = find_run_dirs(tmp_path / "runs")
+        records = load_split(lamp_root, "lamp").train
+        for arch, path in checkpoints.items():
+            grid = robustness_run(model_from_checkpoint(path), None, records,
+                                  0)[arch]
+            assert (run_dir / f"robustness_{arch}.tsv").read_text() == \
+                robustness_tsv(grid)
+        capsys.readouterr()
+        assert run(common + ["--checkpoint", checkpoints["pignet"],
+                             "--baseline-checkpoint",
+                             checkpoints["pignet"]]) == 1
+        assert capsys.readouterr().err == (
+            "error: both models are pignet; the robustness grids are named "
+            "by arch\n")
+        assert find_run_dirs(tmp_path / "runs") == [run_dir]
 
 
 class TestNumPartsResolution:

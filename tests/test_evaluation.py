@@ -285,6 +285,21 @@ class TestRobustness:
                        densities=(16, 32), sigmas=(0.0, 0.01))
         assert parsed == [rec.points_path for rec in split.train]
 
+    def test_grids_are_keyed_by_arch(self, lamp_root):
+        split = load_split(lamp_root, "lamp")
+        model = build_model(tiny_model_config(), seed=5)
+        baseline = build_model(
+            tiny_model_config(arch="pointnet", baseline_plan=(4, 4, 4, 8, 16)),
+            seed=5)
+
+        def grids(*models):
+            return robustness_run(*models, split.train, seed=9,
+                                  densities=(16, 32), sigmas=(0.0,))
+
+        both = grids(model, baseline)
+        assert grids(baseline, model) == both
+        assert grids(baseline, None) == {"pointnet": both["pointnet"]}
+
     def test_density_cell_uses_reduced_clouds(self, lamp_root):
         split = load_split(lamp_root, "lamp")
         model = build_model(tiny_model_config(), seed=6)

@@ -10,7 +10,8 @@ from pignet.data import (DatasetSplit, PointCloud, add_gaussian_noise,
                          infer_num_parts)
 from pignet.errors import (ConfigError, DataError, DimensionError,
                            DomainError, UsageError)
-from pignet.evaluation import ablation_variants, evaluate_split, write_ply
+from pignet.evaluation import (ablation_variants, evaluate_split,
+                               robustness_run, write_ply)
 from pignet.inception import InceptionStack
 from pignet.layers import BatchNorm, channel_window_max
 from pignet.model import ModelConfig, build_model, segmentation_loss
@@ -101,6 +102,14 @@ REFUSALS = {
         lambda: ablation_variants(ModelConfig(num_parts=2,
                                               inception_plan=(8,))),
         ConfigError, "ablation needs a base plan with >= 2 layers"),
+    "ablate-pointnet": (
+        lambda: ablation_variants(ModelConfig(num_parts=2, arch="pointnet")),
+        ConfigError, "ablation varies only PIG-Net fields, so arch pointnet "
+        "gives five identical networks"),
+    "robustness-one-arch": (
+        lambda: robustness_run(tiny_model(), tiny_model(), [], 0),
+        UsageError, "both models are pignet; the robustness grids are named "
+        "by arch"),
     "ply-points": (lambda: write_ply(io.StringIO(), np.zeros((2, 2)), [0, 0]),
                    DataError, "points must be (n, 3), got (2, 2)"),
 }
