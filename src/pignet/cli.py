@@ -145,9 +145,11 @@ def _read_ini(path):
     return parser
 
 
-def load_run_config(config_path=None, overrides=()):
+def load_run_config(config_path=None, overrides=(), reads=None):
     """Merge defaults, an optional INI file, and CLI overrides; reject
-    unknown sections or keys."""
+    unknown sections or keys. ``reads``, if given, holds the (section, key)
+    pairs a command reads: the file's other keys keep their defaults, and
+    only those pairs are recorded by ``RunConfig.dump``."""
     values = {section: {key: text for key, (text, _) in keys.items()}
               for section, keys in _SCHEMA.items()}
     if config_path is not None:
@@ -158,11 +160,18 @@ def load_run_config(config_path=None, overrides=()):
             for key, raw in parser[section].items():
                 if key not in values[section]:
                     raise ConfigError(f"unknown config key [{section}] {key}")
-                values[section][key] = raw
+                if reads is None or (section, key) in reads:
+                    values[section][key] = raw
     for section, key, raw in overrides:
         if raw is not None:
             values[section][key] = str(raw)
-    return RunConfig(values)
+    cfg = RunConfig(values)
+    if reads is not None:
+        cfg.values = {section: {key: raw for key, raw in keys.items()
+                                if (section, key) in reads}
+                      for section, keys in values.items()
+                      if section in {s for s, _ in reads}}
+    return cfg
 
 
 def _make_run_dir(cfg):
@@ -223,9 +232,13 @@ def _require(value, what):
     return value
 
 
-def _config_and_split(args):
-    """The run configuration, and the dataset split it names."""
-    cfg = load_run_config(args.config, _common_overrides(args))
+def _config_and_split(args, flags=None):
+    """The run configuration, and the dataset split it names. A command that
+    reads only the keys of its override ``flags`` names them, and the
+    configuration then checks and records those keys alone."""
+    reads = None if flags is None else {
+        (section, key) for flag, section, key, _ in _FLAGS if flag in flags}
+    cfg = load_run_config(args.config, _common_overrides(args), reads)
     root = _require(cfg.root, "--data-root")
     return cfg, load_split(root, _require(cfg.category, "--category"))
 
@@ -301,7 +314,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg, split = _config_and_split(args)
+    cfg, split = _config_and_split(args, _SCORED)
     records = split.records(args.split)
     model = model_from_checkpoint(args.checkpoint)
     report = evaluate_split(model, records, cfg.train_config.seed, cfg.points)
@@ -313,7 +326,7 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    cfg, split = _config_and_split(args)
+    cfg, split = _config_and_split(args, _SCORED)
     records = split.records(args.split)
     if not records:
         raise UsageError("no shapes to predict")
@@ -345,7 +358,7 @@ def cmd_ablate(args):
 
 
 def cmd_robustness(args):
-    cfg, split = _config_and_split(args)
+    cfg, split = _config_and_split(args, _HELD_OUT)
     records = split.records(args.split) or split.train
     model = model_from_checkpoint(args.checkpoint)
     baseline = None
@@ -415,9 +428,10 @@ def _config_flags(*flags):
 
 _EVERY = _config_flags(*(flag for flag, *_ in _FLAGS))
 _HELD_OUT = ("--data-root", "--category", "--seed", "--out")
+_SCORED = _HELD_OUT + ("--points",)
 _SPLIT = ("--split", dict(choices=["train", "val", "test"], default="test"))
 _CHECKPOINT = ("--checkpoint", dict(type=str, required=True))
-_SCORING = _config_flags(*_HELD_OUT, "--points") + [_CHECKPOINT, _SPLIT]
+_SCORING = _config_flags(*_SCORED) + [_CHECKPOINT, _SPLIT]
 
 # (name, command, help, its flags): --config and the flags of the keys it
 # reads (a checkpoint fixes the model, the grid its densities), then its own

@@ -59,7 +59,7 @@ class Module:
         conv, bn = getattr(self, f"conv{key}"), getattr(self, f"bn{key}")
         out = conv(features)
         if training:
-            return bn._train(out, fuse_relu=True)
+            return bn._train(out, fuse_relu=True, consume=True)
         if recording():
             return relu(bn(out))
         scale, shift = bn._eval_affine()
@@ -136,18 +136,24 @@ class BatchNorm(Module):
         scale = self.gamma * inv
         return scale, self.beta - scale * self.running_mean
 
-    def _train(self, features, fuse_relu=False):
+    def _train(self, features, fuse_relu=False, *, consume=False):
         """Normalize by the batch statistics, update the running estimates
         and record one node, with its ReLU when ``fuse_relu``. The gradient
         masks by the ReLU, then takes the closed form of Ioffe & Szegedy
-        (ICML 2015, section 3); float32 sums accumulate at float64."""
+        (ICML 2015, section 3); float32 sums accumulate at float64.
+
+        With ``consume`` the normalized values are written over
+        ``features.data``, so the node keeps one buffer where it would keep
+        two; only a caller that made ``features`` and reads it no more may
+        ask for that, as ``Module._rung`` does with its conv's output."""
         rows = math.prod(features.shape[:-1])
         if rows < 2:
             raise DegenerateError(
                 f"cannot normalize a batch of {rows} value(s) per channel")
         axes = tuple(range(features.ndim - 1))
         mean = _accurate_sum(features.data, axes, rows)
-        xhat = features.data - mean
+        xhat = np.subtract(features.data, mean,
+                           out=features.data if consume else None)
         var = _accurate_sum(xhat * xhat, axes, rows)
         std = np.sqrt(var + self.eps)
         xhat /= std  # centered values, normalized in place
@@ -165,8 +171,8 @@ class BatchNorm(Module):
             np.maximum(data, 0, out=data)
 
         def rule(g):
-            if fuse_relu:
-                g = g * (data > 0)  # the ReLU'd output: > 0 where its input was
+            if fuse_relu:  # in g, which the rule owns; the ReLU'd output
+                np.multiply(g, data > 0, out=g)  # is > 0 where its input was
             g_xhat = g * xhat
             sum_g = _accurate_sum(g, axes)
             sum_gx = _accurate_sum(g_xhat, axes)

@@ -8,8 +8,12 @@ goes. A rule maps the output's gradient to one gradient per parent, in
 ``_parents`` order, each shaped like that parent; ``backward()`` alone adds
 them into the parents that require a gradient. Masks, indices and offsets
 that only a gradient needs are built by the rule, when ``backward()`` calls
-it. Arrays are numpy underneath; float64 is the default so gradient checks
-stay meaningful, float32 is accepted for faster training runs.
+it. A rule owns the gradient it is given and may write into it, and it
+returns arrays that nothing else holds, or views; so ``backward()`` can
+adopt a fresh array as a recorded parent's first gradient instead of copying
+it (``_accumulate``). Arrays are numpy underneath; float64 is the default so
+gradient checks stay meaningful, float32 is accepted for faster training
+runs.
 """
 
 import math
@@ -138,14 +142,23 @@ def _record(data, parents, op, rule):
     return out
 
 
-def _accumulate(t, g):
-    if t.grad is None:
-        # a copy, never ``g`` itself: add and sub hand one array to both
-        # operands, and reduce_sum hands over a read-only broadcast view
+def _accumulate(t, g, shared):
+    """Add a rule's gradient ``g`` into ``t.grad``; ``shared`` says the rule
+    returned ``g`` for an earlier parent too.
+
+    A recorded node's first gradient is ``g`` itself when ``g`` is not
+    shared, not a view, writeable and of ``t``'s dtype: the rule made it and
+    nothing else holds it. Any other first gradient is a copy: leaves keep
+    arrays of their own, add and sub hand one array to both operands, and
+    views (reshape, transpose, concat, sum) share their base."""
+    if t.grad is not None:
+        t.grad += g
+    elif (t._op != "leaf" and not shared and g.base is None
+          and g.flags.writeable and g.dtype == t.dtype):
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -404,9 +417,9 @@ def backward(root):
         node = order.pop()
         if node._backward_fn is not None:
             grads = node._backward_fn(node.grad)
-            for parent, g in zip(node._parents, grads):
+            for i, (parent, g) in enumerate(zip(node._parents, grads)):
                 if parent.requires_grad:
-                    _accumulate(parent, g)
+                    _accumulate(parent, g, any(g is h for h in grads[:i]))
             node.grad, node._backward_fn, node._parents = None, None, ()
             del grads, g  # freed now, not held while the next rule runs
 

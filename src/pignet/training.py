@@ -6,9 +6,10 @@ state, tensor count), then one record per tensor: u32 name length, the name,
 u32 rank, u64 extents, and the values as little-endian float64.
 
 A save streams the header and then each record to a temporary file and
-renames it over the target. A read walks every record header, then casts
-each payload its caller names into an array a target function gives (for
-``model_from_checkpoint``, the model's own) through one fixed 1 MiB buffer.
+renames it over the target, casting each payload through one fixed 1 MiB
+buffer. A read walks every record header, then casts each payload its
+caller names into an array a target function gives (for
+``model_from_checkpoint``, the model's own) through such a buffer.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from .model import (ModelConfig, _integer, _real, build_model, config_hash,
 from .data import augment, sample_points
 
 MAGIC = b"PIGNET01"
-FILL_VALUES = 1 << 17  # float64 values per payload read: a fixed 1 MiB
+FILL_VALUES = 1 << 17  # float64 values per payload read or write: 1 MiB
 
 
 @dataclass
@@ -221,7 +222,8 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
     """Serialize model (and optimizer) state; the write is atomic.
 
     The header and then each tensor's record go straight to a temporary
-    file, renamed over ``path`` once complete and removed if a write fails."""
+    file, renamed over ``path`` once complete and removed if a write fails;
+    each payload is cast to float64 through one buffer of ``FILL_VALUES``."""
     arrays = _named_arrays(model, optimizer)
     meta = {
         "config_hash": config_hash(model.config),
@@ -236,13 +238,17 @@ def save_checkpoint(path, model, optimizer=None, epoch=0, rng_state=None):
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes)
+            buf = np.empty(FILL_VALUES, "<f8")
             for name, arr in arrays:
                 name_bytes = name.encode()
-                data = np.ascontiguousarray(arr, dtype="<f8")
-                fh.write(struct.pack(f"<I{len(name_bytes)}sI{data.ndim}Q",
-                                     len(name_bytes), name_bytes, data.ndim,
-                                     *data.shape))
-                fh.write(data)
+                fh.write(struct.pack(f"<I{len(name_bytes)}sI{arr.ndim}Q",
+                                     len(name_bytes), name_bytes, arr.ndim,
+                                     *arr.shape))
+                flat = np.ascontiguousarray(arr).reshape(-1)  # model arrays: views
+                for start in range(0, flat.size, FILL_VALUES):
+                    chunk = buf[:flat.size - start]
+                    chunk[...] = flat[start:start + chunk.size]  # to float64
+                    fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

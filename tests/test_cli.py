@@ -736,6 +736,50 @@ class TestEachFileParsedOnce:
         assert sorted(parsed) == self.points_files(root, "test")
 
 
+class TestHeldOutConfigKeys:
+    """A command that takes its model from a checkpoint checks and records
+    only the config keys its flags cover; unknown keys are still refused."""
+
+    @pytest.fixture
+    def scored(self, tmp_path, lamp_root):
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, build_model(ModelConfig(
+            num_parts=3, inception_plan=(4, 8), tnet_conv_widths=(4, 8, 16),
+            tnet_fc_widths=(8, 8), head_widths=(8, 8)), seed=0))
+
+        def scored(command, ini):
+            config = tmp_path / "other.ini"
+            config.write_text(ini)
+            points = [] if command == "robustness" else ["--points", "24"]
+            return run([command, "--config", config, "--data-root", lamp_root,
+                        "--category", "lamp", "--checkpoint", checkpoint,
+                        "--split", "train", "--out", tmp_path / "runs"]
+                       + points)
+        return scored
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "robustness"])
+    def test_a_bad_value_of_an_unread_key_is_ignored(self, scored, command):
+        assert scored(command, "[train]\nepochs = -1\n") == 0
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "robustness"])
+    def test_the_run_records_only_the_keys_it_read(self, tmp_path, scored,
+                                                   command):
+        assert scored(command, "[model]\narch = pointnet\nnum_parts = 9\n"
+                      "[train]\nseed = 4\n") == 0
+        (run_dir,) = find_run_dirs(tmp_path / "runs")
+        recorded = configparser.ConfigParser()
+        recorded.read(run_dir / "config.ini")
+        keys = {"root", "category", "out", "seed"} | (
+            set() if command == "robustness" else {"points"})
+        assert {key for section in recorded.sections()
+                for key in recorded[section]} == keys
+        assert recorded["train"]["seed"] == "4"
+
+    def test_an_unknown_key_is_still_refused(self, scored, capsys):
+        assert scored("eval", "[model]\narc = pignet\n") == 2
+        assert "unknown config key [model] arc" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_unknown_key_exits_2_and_names_key(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"

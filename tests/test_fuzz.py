@@ -1,6 +1,8 @@
 """Property tests over malformed input: generated points and label text, INI
 text, and edited checkpoints. Whatever the input, only a PignetError may
-escape, and a failed checkpoint load leaves the model as it was."""
+escape, and a failed checkpoint load leaves the model as it was. A last
+property draws small graphs of the recording ops and checks ``backward()``
+on each against difference quotients and its own ownership rules."""
 
 import functools
 import json
@@ -17,8 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pignet.cli
 from pignet.cli import load_run_config
 from pignet.data import load_cloud
-from pignet.errors import PignetError
+from pignet.errors import PignetError, UsageError
+from pignet.layers import BatchNorm, Module, channel_window_max
 from pignet.model import ModelConfig, build_model, config_hash
+from pignet.tensor import (Tensor, backward, concat, cross_entropy,
+                           graph_order, matmul, no_grad, reduce_max,
+                           reduce_mean, reduce_sum, relu, repeat_rows,
+                           reshape, transpose_last2)
 from pignet.training import (MAGIC, AdamOptimizer, TrainConfig,
                              load_checkpoint, model_from_checkpoint,
                              parameter_hash, save_checkpoint)
@@ -270,6 +277,176 @@ def test_edited_checkpoint_raises_only_pignet_errors(workdir, saved, edit):
         model_from_checkpoint(path)
     except PignetError:
         pass
+
+
+SHAPE = (2, 5, 4)  # every node of a generated graph: batch, points, channels
+
+
+class _Rung(Module):
+    def __init__(self, rng):
+        self._add_rung("", 4, 4, rng, np.float64)
+
+
+def _graph_op(name, rng):
+    """(a function of two operand nodes, the leaves it made) for op
+    ``name``; one-operand ops ignore the second."""
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def row(t, reduce):  # a (2, 4) reduction back to a broadcastable row
+        return reshape(reduce(t, axis=1), (2, 1, 4))
+
+    if name == "rung":  # conv, then batch norm and ReLU in the conv's buffer
+        rung = _Rung(rng)
+        return (lambda a, b: rung._rung("", a, True),
+                [p for _, p in rung.named_parameters()])
+    if name == "batch_norm":
+        bn = BatchNorm(4)
+        bn.gamma.data[:] = rng.normal(1.0, 0.3, 4)
+        return lambda a, b: bn(a, training=True), [bn.gamma, bn.beta]
+    if name in ("matmul", "concat"):
+        w = leaf(4 if name == "matmul" else 8, 4)
+        if name == "matmul":
+            return lambda a, b: matmul(a, w), [w]
+        return lambda a, b: matmul(concat([a, b], axis=-1), w), [w]
+    return {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "relu": lambda a, b: relu(a),
+        "channel_window_max": lambda a, b: channel_window_max(a),
+        "transpose": lambda a, b: transpose_last2(
+            transpose_last2(a) * transpose_last2(b)),
+        "sum": lambda a, b: a * row(b, reduce_sum),
+        "max": lambda a, b: a - row(b, reduce_max),
+        "mean": lambda a, b: a + repeat_rows(reduce_mean(b, axis=1), 5),
+    }[name], []
+
+
+# the rung and add, which write into or share gradient arrays, come thrice
+GRAPH_OPS = ["add", "sub", "mul", "relu", "channel_window_max", "rung",
+             "batch_norm", "matmul", "concat", "transpose", "sum", "max",
+             "mean"] + ["rung", "add"] * 2
+
+
+@st.composite
+def graphs(draw):
+    """(ops, seed, head): 3 to 8 ops, each (name, first operand, second
+    operand) over the two inputs and the earlier ops' outputs. Input 0 feeds
+    the first two ops; a second operand is often the first one again or the
+    latest output."""
+    ops = []
+    for i in range(draw(st.integers(3, 8))):
+        first = 0 if i < 2 else draw(st.integers(0, i + 1))
+        second = draw(st.sampled_from([first, i + 1, None]))
+        if second is None:
+            second = draw(st.integers(0, i + 1))
+        ops.append((draw(st.sampled_from(GRAPH_OPS)), first, second))
+    return ops, draw(st.integers(0, 2**32 - 1)), draw(
+        st.sampled_from(["sum", "cross_entropy"]))
+
+
+class Graph:
+    """A drawn graph over fixed leaves: two inputs and each op's weights."""
+
+    def __init__(self, ops, seed, head):
+        rng = np.random.default_rng(seed)
+        self.inputs = [Tensor(rng.normal(size=SHAPE), requires_grad=True)
+                       for _ in range(2)]
+        self.ops = []
+        self.leaves = list(self.inputs)
+        for name, first, second in ops:
+            fn, leaves = _graph_op(name, rng)
+            self.ops.append((fn, first, second))
+            self.leaves += leaves
+        used = {i for _, first, second in ops for i in (first, second)}
+        # outputs no later op reads feed the loss too, so every op counts
+        self.tails = [(i, rng.normal(size=SHAPE))
+                      for i in range(2, len(ops) + 1) if i not in used]
+        self.head = head
+        self.labels = rng.integers(0, 4, size=10)
+        self.weights = rng.normal(size=SHAPE)
+
+    def forward(self, inputs=None):
+        """Every node (inputs first) and the scalar loss."""
+        nodes = list(inputs or self.inputs)
+        for fn, first, second in self.ops:
+            nodes.append(fn(nodes[first], nodes[second]))
+        if self.head == "sum":
+            loss = reduce_sum(nodes[-1] * self.weights)
+        else:
+            loss = cross_entropy(reshape(nodes[-1], (10, 4)), self.labels)
+        for i, weights in self.tails:
+            loss = loss + reduce_sum(nodes[i] * weights)
+        return nodes, loss
+
+    def gradients(self, between=None):
+        """The leaves' gradient bytes after one backward; ``between`` runs
+        after the recorded forward and before its backward."""
+        for p in self.leaves:
+            p.grad = None
+        _, loss = self.forward()
+        if between is not None:
+            between()
+        backward(loss)
+        return [b"" if p.grad is None else p.grad.tobytes()
+                for p in self.leaves]
+
+
+def _between_one_sided_differences(graph, grads, rng, steps=(1e-6, 1e-5)):
+    """Each gradient, at up to three drawn coordinates per leaf, lies between
+    the forward and backward difference quotients of one of ``steps``: the
+    slopes on either side of any ReLU or max kink."""
+    def loss():
+        return graph.forward()[1].item()
+
+    with no_grad():
+        base = loss()
+        for p, grad in zip(graph.leaves, grads):
+            flat = p.data.reshape(-1)  # a view: writes reach the leaf
+            grad = np.frombuffer(grad, np.float64) if grad else np.zeros(
+                flat.size)
+            for i in rng.choice(flat.size, min(3, flat.size), replace=False):
+                orig, close = flat[i], False
+                for h in steps:
+                    flat[i] = orig + h
+                    upper = (loss() - base) / h
+                    flat[i] = orig - h
+                    lower = (base - loss()) / h
+                    flat[i] = orig
+                    tol = 1e-7 + 1e-4 * max(abs(grad[i]), abs(upper),
+                                            abs(lower))
+                    close |= (min(upper, lower) - tol <= grad[i]
+                              <= max(upper, lower) + tol)
+                assert close, (p.shape, i, grad[i], upper, lower)
+
+
+@fuzz(1000)
+@given(drawn=graphs())
+def test_generated_graphs_keep_backward_honest(drawn):
+    graph = Graph(*drawn)
+    nodes, loss = graph.forward()
+    recorded = [n for n in graph_order(loss) if n._op != "leaf"]
+    before = [n.data.tobytes() for n in nodes]
+    with no_grad():
+        plain, plain_loss = graph.forward()
+    assert [n.data.tobytes() for n in plain] == before
+    assert plain_loss.data.tobytes() == loss.data.tobytes()
+
+    backward(loss)
+    assert all(n.grad is None and n._backward_fn is None and n._parents == ()
+               for n in recorded)
+    assert [n.data.tobytes() for n in nodes] == before
+    with pytest.raises(UsageError, match="already ran"):
+        backward(loss)
+    grads = [b"" if p.grad is None else p.grad.tobytes() for p in graph.leaves]
+    del nodes, loss, recorded, plain, plain_loss
+
+    rng = np.random.default_rng(drawn[1])
+    other = [Tensor(rng.normal(size=SHAPE)) for _ in range(2)]
+    assert graph.gradients() == grads
+    assert graph.gradients(lambda: graph.forward(other)) == grads
+    _between_one_sided_differences(graph, grads, rng)
 
 
 FAILING_PROPERTY = """

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from pignet.errors import DimensionError, DomainError, OracleError, UsageError
 from pignet.layers import BatchNorm, channel_window_max
+from pignet.model import ModelConfig, build_model, segmentation_loss
 from pignet.tensor import (Tensor, backward, concat, cross_entropy,
                            finite_diff_check, graph_order, matmul, no_grad,
                            reduce_max, reduce_mean, reduce_sum, relu,
                            repeat_rows, reshape, transpose_last2)
+from pignet.training import AdamOptimizer, TrainConfig
 
 
 def t(data, grad=True):
@@ -367,6 +370,41 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
         assert x.grad.flags.writeable
 
+    def test_recorded_self_sum_gradient_is_two(self):
+        # add hands h one array twice: h adopts it, then adds it to itself
+        x = t([1.0, -2.0, 3.0])
+        h = x * 3.0
+        backward(reduce_sum((h + h) * t([1.0, 2.0, 4.0], grad=False)))
+        assert np.array_equal(x.grad, [6.0, 12.0, 24.0])
+
+    def test_recorded_parents_of_one_add_never_share_a_gradient(self):
+        # p adopts the array that add hands to both; q must get a copy, or
+        # the third gradient each gets from p * q would land in both
+        x, y = t([1.0, 2.0]), t([3.0, 4.0])
+        p, q = x * 2.0, y * 3.0
+        backward(reduce_sum((p + q) + p * q))
+        assert np.array_equal(x.grad, 2.0 * (1.0 + q.data))
+        assert np.array_equal(y.grad, 3.0 * (1.0 + p.data))
+
+    def test_fused_mask_does_not_reach_a_sibling(self):
+        # add hands the fused nodes one array; each masks its own in place
+        rng = np.random.default_rng(32)
+        shape, w = (2, 6, 5), t(rng.normal(size=(2, 6, 5)), grad=False)
+        data = [rng.normal(size=shape) for _ in range(2)]
+
+        def fused(x):
+            return _batch_norm(x, t(np.ones(5)), t(np.zeros(5)), True)
+
+        alone = []
+        for d in data:
+            x = t(d)
+            backward(reduce_sum(fused(x) * w))
+            alone.append(x.grad)
+        x1, x2 = t(data[0]), t(data[1])
+        backward(reduce_sum((fused(x1) + fused(x2)) * w))
+        assert x1.grad.tobytes() == alone[0].tobytes()
+        assert x2.grad.tobytes() == alone[1].tobytes()
+
     def test_walked_arrays_freed_while_the_loss_lives(self):
         # the sum's rule held h, and h held its array, until the caller
         # dropped the loss
@@ -380,6 +418,31 @@ class TestBackward:
         assert array() is None
         assert loss._parents == () and loss._backward_fn is None
         assert np.array_equal(w.grad, np.full((3, 4), 2.0))
+
+    def test_training_step_peak(self):
+        """One float32 step at the benchmark's configuration (plan 8,16,24,
+        batch 8 of 256 points) peaks at most 72 MiB above where it began:
+        each rung normalizes in its conv's buffer, and backward adopts the
+        fresh gradients rules return instead of copying them."""
+        config = ModelConfig(num_parts=3, inception_plan=(8, 16, 24),
+                             dtype="float32")
+        model = build_model(config, seed=0)
+        optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+        rng = np.random.default_rng(33)
+        batch = Tensor(rng.normal(size=(8, 256, 3)).astype(np.float32))
+        labels = rng.integers(0, 3, size=(8, 256))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            logits, mat = model.forward(batch, training=True)
+            backward(segmentation_loss(logits, labels, mat, config.lambda_reg))
+            del logits, mat
+            optimizer.step()
+            optimizer.zero_grad()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 72 * 2**20
 
     def test_graph_order_is_topological(self):
         x = t([1.0])
