@@ -402,7 +402,8 @@ def cmd_synth(args):
 
 
 def cmd_inspect(args):
-    cfg = load_run_config(args.config, _common_overrides(args))
+    cfg = load_run_config(args.config, _common_overrides(args),
+                          {("model", key) for key in _SCHEMA["model"]})
     num_parts = cfg.model_kwargs["num_parts"]
     model_config = cfg.model_config(4 if num_parts is None else num_parts)
     total = parameter_count(model_config)

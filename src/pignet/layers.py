@@ -11,9 +11,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .tensor import (Tensor, _accurate_sum, _record, as_tensor, matmul,
-                     recording, reduce_max, reduce_mean, relu, reshape,
-                     transpose_last2, reduce_sum)
+from .tensor import (Tensor, _accurate_sum, _matmul_grads, _record,
+                     as_tensor, matmul, no_grad, recording, reduce_max,
+                     reduce_mean, relu, reshape, transpose_last2, reduce_sum)
 
 
 class Module:
@@ -67,6 +67,48 @@ class Module:
         np.add(out.data, shift.data, out=out.data)
         np.maximum(out.data, 0, out=out.data)
         return out
+
+    def _pooled_rung(self, key, features):
+        """``max_over_points(self._rung(key, features, True))``, with its
+        bytes, for a recorded training forward: one node of parents
+        ``features``, conv weight, gamma and beta that keeps the batch mean
+        and std, the maxima and their first rows, and nothing per point.
+
+        Recompute contract: the rule reads its parents' data when
+        ``backward()`` runs, to recompute the conv, so nothing may write that
+        data between this forward and the optimizer step. The rule holds at
+        most two per-point arrays at once."""
+        conv, bn = getattr(self, f"conv{key}"), getattr(self, f"bn{key}")
+        features = as_tensor(features)
+        weight, gamma, beta = conv.weight, bn.gamma, bn.beta
+        with no_grad():
+            out = conv(features).data
+        _, mean, std = bn._normalize(out, out)
+        out *= gamma.data
+        out += beta.data
+        np.maximum(out, 0, out=out)
+        peak = out.max(axis=-2)
+        first = np.expand_dims(out.argmax(axis=-2), -2)
+
+        def rule(g):
+            xhat = features.data @ weight.data
+            xhat -= mean
+            xhat /= std
+
+            def regrow(buf):  # the max's and the ReLU's gradient, in buf
+                buf.fill(0)
+                np.put_along_axis(buf, first, np.expand_dims(g * (peak > 0),
+                                                             -2), -2)
+                return buf
+
+            dx, d_gamma, d_beta = _normalized_grads(
+                regrow(np.empty_like(xhat)), xhat, gamma.data, std, regrow)
+            del xhat
+            return (*_matmul_grads(features.data, weight.data, dx), d_gamma,
+                    d_beta)
+
+        return _record(peak, (features, weight, gamma, beta), "pooled_rung",
+                       rule)
 
 
 class PointwiseConv(Module):
@@ -136,24 +178,18 @@ class BatchNorm(Module):
         scale = self.gamma * inv
         return scale, self.beta - scale * self.running_mean
 
-    def _train(self, features, fuse_relu=False, *, consume=False):
-        """Normalize by the batch statistics, update the running estimates
-        and record one node, with its ReLU when ``fuse_relu``. The gradient
-        masks by the ReLU, then takes the closed form of Ioffe & Szegedy
-        (ICML 2015, section 3); float32 sums accumulate at float64.
-
-        With ``consume`` the normalized values are written over
-        ``features.data``, so the node keeps one buffer where it would keep
-        two; only a caller that made ``features`` and reads it no more may
-        ask for that, as ``Module._rung`` does with its conv's output."""
-        rows = math.prod(features.shape[:-1])
+    def _normalize(self, data, out=None):
+        """(xhat, mean, std): ``data`` centred on its batch mean and divided
+        by its batch std, both pooled over every leading axis, written in
+        ``out`` (``data`` itself normalizes in place); the running estimates
+        move toward the batch's."""
+        rows = math.prod(data.shape[:-1])
         if rows < 2:
             raise DegenerateError(
                 f"cannot normalize a batch of {rows} value(s) per channel")
-        axes = tuple(range(features.ndim - 1))
-        mean = _accurate_sum(features.data, axes, rows)
-        xhat = np.subtract(features.data, mean,
-                           out=features.data if consume else None)
+        axes = tuple(range(data.ndim - 1))
+        mean = _accurate_sum(data, axes, rows)
+        xhat = np.subtract(data, mean, out=out)
         var = _accurate_sum(xhat * xhat, axes, rows)
         std = np.sqrt(var + self.eps)
         xhat /= std  # centered values, normalized in place
@@ -164,6 +200,19 @@ class BatchNorm(Module):
         self.running_mean += m * mean
         self.running_var *= 1.0 - m
         self.running_var += m * var
+        return xhat, mean, std
+
+    def _train(self, features, fuse_relu=False, *, consume=False):
+        """Normalize by the batch statistics, update the running estimates
+        and record one node, with its ReLU when ``fuse_relu``. The gradient
+        masks by the ReLU, then takes BatchNorm's closed form.
+
+        With ``consume`` the normalized values are written over
+        ``features.data``, so the node keeps one buffer where it would keep
+        two; only a caller that made ``features`` and reads it no more may
+        ask for that, as ``Module._rung`` does with its conv's output."""
+        xhat, _, std = self._normalize(features.data,
+                                       features.data if consume else None)
         gamma, beta = self.gamma, self.beta
         data = xhat * gamma.data
         data += beta.data
@@ -173,19 +222,30 @@ class BatchNorm(Module):
         def rule(g):
             if fuse_relu:  # in g, which the rule owns; the ReLU'd output
                 np.multiply(g, data > 0, out=g)  # is > 0 where its input was
-            g_xhat = g * xhat
-            sum_g = _accurate_sum(g, axes)
-            sum_gx = _accurate_sum(g_xhat, axes)
-            # dx = gamma / std * (g - sum(g) / N - xhat * sum(g * xhat) / N),
-            # built in the buffer of g * xhat
-            dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
-            dx += g
-            dx -= sum_g / rows
-            dx *= gamma.data * (1.0 / std)
-            return dx, sum_gx, sum_g
+            return _normalized_grads(g, xhat, gamma.data, std)
 
         return _record(data, (features, gamma, beta),
                        "batch_norm_relu" if fuse_relu else "batch_norm", rule)
+
+
+def _normalized_grads(g, xhat, gamma, std, regrow=None):
+    """(dx, dgamma, dbeta) of ``xhat * gamma + beta``, ``xhat`` being ``x``
+    normalized by its batch statistics, for its gradient ``g``: the closed
+    form of Ioffe & Szegedy (ICML 2015, section 3), float32 sums at float64.
+    With ``regrow``, dx is built in ``g``'s buffer, and ``regrow(xhat)``
+    writes ``g`` again over ``xhat``, unread by then, and returns it."""
+    axes = tuple(range(g.ndim - 1))
+    rows = math.prod(g.shape[:-1])
+    sum_g = _accurate_sum(g, axes)
+    g_xhat = np.multiply(g, xhat, out=None if regrow is None else g)
+    sum_gx = _accurate_sum(g_xhat, axes)
+    # dx = gamma / std * (g - sum(g) / N - xhat * sum(g * xhat) / N),
+    # built in the buffer of g * xhat
+    dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
+    dx += g if regrow is None else regrow(xhat)
+    dx -= sum_g / rows
+    dx *= gamma * (1.0 / std)
+    return dx, sum_gx, sum_g
 
 
 class Ladder(Module):
@@ -204,11 +264,16 @@ class Ladder(Module):
         self.rungs = len(widths)
         self.out_channels = width
 
-    def outputs(self, features, training=False):
-        """Every rung's output, first to last."""
+    def outputs(self, features, training=False, pooled=False):
+        """Every rung's output, first to last; with ``pooled``, which only
+        a recorded training forward asks for, the last one's max over points
+        stands in for it (``Module._pooled_rung``)."""
         outs = []
         for i in range(self.rungs):
-            features = self._rung(i, features, training)
+            if pooled and i == self.rungs - 1:
+                features = self._pooled_rung(i, features)
+            else:
+                features = self._rung(i, features, training)
             outs.append(features)
         return outs
 
@@ -282,7 +347,10 @@ class TNet(Ladder):
 
     def matrix(self, features, training=False):
         """Predict the transform for a (B, n, k) or (n, k) feature map."""
-        pooled = reduce_max(super().__call__(features, training), axis=-2)
+        if training and recording() and self.rungs:
+            pooled = self.outputs(features, training, pooled=True)[-1]
+        else:
+            pooled = max_over_points(super().__call__(features, training))
         if pooled.ndim == 1:  # the affine layers take rows
             pooled = reshape(pooled, (1,) + pooled.shape)
         for fc in self._numbered("fc"):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, InputError
 from .seeding import INIT, make_rng
 from .tensor import (Tensor, as_tensor, concat, cross_entropy, no_grad,
-                     repeat_rows, reshape)
+                     recording, repeat_rows, reshape)
 from .layers import (Ladder, Module, PointwiseConv, TNet, global_average_pool,
                      max_over_points, orthogonality_regularizer)
 from .inception import InceptionStack
@@ -236,9 +236,12 @@ class PointNetBaseline(_HeadMixin):
     def forward(self, points, training=False, capture=None):
         x = _checked_points(points, self.dtype)
         aligned, input_mat = self.input_tnet.align(x, training)
-        rungs = self.convs.outputs(aligned, training)
-        local = rungs[self.config.baseline_local_index]
-        pooled = max_over_points(rungs[-1])
+        index = self.config.baseline_local_index
+        # in a recorded training forward the max alone reads the last rung
+        pool = training and recording() and index < self.convs.rungs - 1
+        rungs = self.convs.outputs(aligned, training, pooled=pool)
+        local = rungs[index]
+        pooled = rungs[-1] if pool else max_over_points(rungs[-1])
         logits = self._classify(local, pooled, training, capture,
                                 aligned_input=aligned, input_matrix=input_mat)
         return logits, None

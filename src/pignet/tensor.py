@@ -212,14 +212,17 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul batch extents disagree: {a.shape} @ {b.shape}")
 
-    def rule(g):
-        if b.ndim == 2 and a.ndim == 3:
-            gb = np.tensordot(a.data, g, axes=((0, 1), (0, 1)))
-        else:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-        return g @ np.swapaxes(b.data, -1, -2), gb
+    return _record(a.data @ b.data, (a, b), "matmul",
+                   lambda g: _matmul_grads(a.data, b.data, g))
 
-    return _record(a.data @ b.data, (a, b), "matmul", rule)
+
+def _matmul_grads(a, b, g):
+    """The gradients of arrays ``a @ b`` for the output's gradient ``g``."""
+    if b.ndim == 2 and a.ndim == 3:
+        gb = np.tensordot(a, g, axes=((0, 1), (0, 1)))
+    else:
+        gb = np.swapaxes(a, -1, -2) @ g
+    return g @ np.swapaxes(b, -1, -2), gb
 
 
 def relu(a):

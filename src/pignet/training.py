@@ -89,6 +89,8 @@ class AdamOptimizer:
             p.grad = None
 
     def step(self):
+        """p -= lr * m_hat / (sqrt(v_hat) + epsilon) for each parameter, in
+        place, through two scratch arrays the size of that parameter."""
         self.step_count += 1
         t = self.step_count
         for name, p in self.named_params:
@@ -101,13 +103,20 @@ class AdamOptimizer:
                     f"{name} of shape {p.data.shape}")
             m = self.m[name]
             v = self.v[name]
+            update, root = np.empty_like(p.data), np.empty_like(p.data)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(g, 1.0 - self.beta2, out=update)
+            update *= g
+            v += update
+            np.divide(m, 1.0 - self.beta1 ** t, out=update)  # m_hat
+            update *= self.learning_rate
+            np.divide(v, 1.0 - self.beta2 ** t, out=root)  # v_hat
+            np.sqrt(root, out=root)
+            root += self.epsilon
+            update /= root
+            p.data -= update
 
 
 def _train_step(model, optimizer, clouds, batch_idx, epoch, batch_number,

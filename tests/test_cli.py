@@ -779,6 +779,25 @@ class TestHeldOutConfigKeys:
         assert scored("eval", "[model]\narc = pignet\n") == 2
         assert "unknown config key [model] arc" in capsys.readouterr().err
 
+    def test_inspect_reads_only_the_model_keys(self, tmp_path, capsys):
+        config = tmp_path / "other.ini"
+        config.write_text("[model]\nnum_parts = 3\n[train]\nepochs = -1\n"
+                          "[augment]\njitter_sigma = -2\n")
+        assert run(["inspect", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert "head widths: (512, 256, 128) -> 3" in out
+        config.write_text("[model]\nnum_parts = 1\n")
+        assert run(["inspect", "--config", config]) == 2
+
+    @pytest.mark.parametrize("ini", ["[train]\nepoch = 1\n",
+                                     "[model]\narc = pignet\n"])
+    def test_inspect_still_refuses_an_unknown_key(self, tmp_path, capsys,
+                                                  ini):
+        config = tmp_path / "other.ini"
+        config.write_text(ini)
+        assert run(["inspect", "--config", config]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_unknown_key_exits_2_and_names_key(self, tmp_path, capsys):

@@ -300,6 +300,10 @@ def _graph_op(name, rng):
         rung = _Rung(rng)
         return (lambda a, b: rung._rung("", a, True),
                 [p for _, p in rung.named_parameters()])
+    if name == "pooled_rung":  # a rung's max over points, recomputed
+        rung = _Rung(rng)    # in backward
+        return (lambda a, b: a * reshape(rung._pooled_rung("", b), (2, 1, 4)),
+                [p for _, p in rung.named_parameters()])
     if name == "batch_norm":
         bn = BatchNorm(4)
         bn.gamma.data[:] = rng.normal(1.0, 0.3, 4)
@@ -323,10 +327,11 @@ def _graph_op(name, rng):
     }[name], []
 
 
-# the rung and add, which write into or share gradient arrays, come thrice
+# the rung and add, which write into or share gradient arrays, and the
+# pooled rung, which recomputes its conv in backward, come thrice
 GRAPH_OPS = ["add", "sub", "mul", "relu", "channel_window_max", "rung",
-             "batch_norm", "matmul", "concat", "transpose", "sum", "max",
-             "mean"] + ["rung", "add"] * 2
+             "pooled_rung", "batch_norm", "matmul", "concat", "transpose",
+             "sum", "max", "mean"] + ["rung", "add", "pooled_rung"] * 2
 
 
 @st.composite

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pignet.errors import DegenerateError, DimensionError
-from pignet.layers import (BatchNorm, PointwiseConv, TNet, channel_window_max,
-                           global_average_pool, max_over_points,
-                           orthogonality_regularizer)
+from pignet.layers import (BatchNorm, Ladder, PointwiseConv, TNet,
+                           channel_window_max, global_average_pool,
+                           max_over_points, orthogonality_regularizer)
 from pignet.seeding import make_rng
-from pignet.tensor import (Tensor, backward, finite_diff_check, reduce_sum,
-                           relu)
+from pignet.tensor import (Tensor, backward, finite_diff_check, reduce_max,
+                           reduce_sum, relu)
 
 
 def t(data, grad=False):
@@ -284,6 +284,52 @@ class TestChannelWindowMax:
         out = channel_window_max(x)
         backward(reduce_sum(out))
         assert np.isclose(x.grad.sum(), out.size)
+
+
+class TestPooledRung:
+    """One node for the max over points of a rung's output, against
+    ``reduce_max(_rung(...))``: the same bytes forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
+    def test_matches_max_of_the_rung(self, shape, dtype):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=shape).astype(dtype)
+        x[..., 0, :] *= 4.0
+        x[..., 3, :] = x[..., 0, :]  # tied rows: the first one wins
+        weights = rng.normal(size=shape[:-2] + (4,)).astype(dtype)
+        weights[..., 2] = -0.0  # into a live channel; 1 is dead
+        runs = []
+        for pooled in (False, True):
+            ladder = Ladder(shape[-1], (4,), make_rng(26), dtype)
+            ladder.bn0.gamma.data[:] = [1.5, 0.0, 0.7, -0.4]
+            ladder.bn0.beta.data[:] = [0.1, -1.0, 0.0, 0.3]  # 1: dead
+            inputs = Tensor(x, requires_grad=True)
+            if pooled:
+                out = ladder._pooled_rung(0, inputs)
+            else:
+                rung = ladder._rung(0, inputs, True)
+                out = reduce_max(rung, axis=-2)
+                tied = rung.data[..., 0, :] == out.data
+            assert out._op == ("pooled_rung" if pooled else "max")
+            backward(reduce_sum(out * weights))
+            runs.append([a.tobytes() for a in (
+                out.data, inputs.grad, ladder.conv0.weight.grad,
+                ladder.bn0.gamma.grad, ladder.bn0.beta.grad,
+                ladder.bn0.running_mean, ladder.bn0.running_var)])
+        assert runs[1] == runs[0]
+        assert (out.data[..., 1] == 0).all() and (out.data[..., 2] > 0).all()
+        assert tied[..., [0, 2, 3]].any(axis=-1).all()  # a live channel
+
+    def test_keeps_nothing_per_point(self):
+        ladder = Ladder(3, (4,), make_rng(29))
+        inputs = Tensor(np.random.default_rng(30).normal(size=(2, 5, 3)),
+                        requires_grad=True)
+        out = ladder._pooled_rung(0, inputs)
+        arrays = [c.cell_contents for c in out._backward_fn.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        # the batch mean and std, the maxima and their first rows
+        assert sorted(a.size for a in arrays) == [4, 4, 8, 8]
 
 
 class TestTNet:

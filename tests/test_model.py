@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pignet.errors import ConfigError, DataError, InputError
-from pignet.layers import PointwiseConv, max_over_points
+from pignet.layers import Module, PointwiseConv, max_over_points
 from pignet.model import (ModelConfig, PigNet, PointNetBaseline, build_model,
                           config_hash, count_parameters, parameter_count,
                           segmentation_loss)
@@ -396,7 +396,8 @@ class TestRungExecution:
         assert plain.data.tobytes() == recorded.data.tobytes()
 
     def test_training_step_records_one_node_per_rung(self):
-        # 85 recorded nodes and 80 leaves
+        # 81 recorded nodes and 80 leaves; each T-Net's widest rung and its
+        # max over points are one node
         config = _overfit_config()
         model = build_model(config, seed=0)
         rng = np.random.default_rng(0)
@@ -405,10 +406,77 @@ class TestRungExecution:
         loss = segmentation_loss(logits, rng.integers(0, 3, size=(8, 256)),
                                  mat, config.lambda_reg)
         order = graph_order(loss)
-        assert len(order) == 165
+        assert len(order) == 161
         ops = [node._op for node in order]
-        assert ops.count("batch_norm_relu") == 21 and "batch_norm" not in ops
+        assert ops.count("batch_norm_relu") == 19 and "batch_norm" not in ops
+        assert ops.count("pooled_rung") == 2 and "max" not in ops
         assert ops.count("relu") == 4  # the T-Nets' fully connected layers
+
+    @pytest.mark.parametrize("name,pooled", [
+        ("pignet", 2), ("pointnet", 2), ("pointnet-last-local", 1)])
+    def test_pooled_rungs_give_the_bytes_of_the_plain_path(self, monkeypatch,
+                                                           name, pooled):
+        # each T-Net's widest rung is pooled, and PointNet's last conv rung
+        # too unless the head reads it as its local features
+        config = {"pignet": tiny_config(feature_reduce=8, dtype="float32"),
+                  "pointnet": _pointnet_config(dtype="float32"),
+                  "pointnet-last-local": _pointnet_config(
+                      baseline_local_index=4, dtype="float32")}[name]
+
+        def step():
+            model = build_model(config, seed=0)
+            rng = np.random.default_rng(9)
+            logits, mat = model.forward(rng.normal(size=(2, 24, 3)),
+                                        training=True)
+            loss = segmentation_loss(
+                logits, rng.integers(0, config.num_parts, size=(2, 24)), mat,
+                config.lambda_reg)
+            ops = [node._op for node in graph_order(loss)]
+            backward(loss)
+            return ops.count("pooled_rung"), [a.tobytes() for a in (
+                logits.data, *(p.grad for _, p in model.named_parameters()),
+                *(a for _, a in model.named_state()))]
+
+        count, got = step()
+        monkeypatch.setattr(Module, "_pooled_rung", lambda self, key, x:
+                            max_over_points(self._rung(key, x, True)))
+        assert count == pooled and step() == (0, got)
+
+    @pytest.mark.parametrize("arch", ["pignet", "pointnet"])
+    def test_eval_and_no_grad_keep_the_rung_then_the_max(self, monkeypatch,
+                                                         arch):
+        def refuse(*args):
+            raise AssertionError("pooled rung outside a recorded training")
+
+        model = build_model(_overfit_config(arch), seed=0)
+        monkeypatch.setattr(Module, "_pooled_rung", refuse)
+        batch = np.random.default_rng(11).normal(size=(2, 24, 3))
+        logits, _ = model.forward(batch, training=False)
+        assert "max" in {node._op for node in graph_order(logits)}
+        with no_grad():
+            model.forward(batch, training=True)
+
+    def test_tnets_without_rungs_train(self):
+        # a T-Net with no conv rungs pools its input as it is
+        config = tiny_config(tnet_conv_widths=())
+        model = build_model(config, seed=0)
+        optimizer = AdamOptimizer.for_model(model, TrainConfig(epochs=1))
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        rng = np.random.default_rng(10)
+        logits, mat = model.forward(rng.normal(size=(2, 24, 3)),
+                                    training=True)
+        loss = segmentation_loss(logits, rng.integers(0, 3, size=(2, 24)),
+                                 mat, config.lambda_reg)
+        ops = [node._op for node in graph_order(loss)]
+        # the input T-Net's max of the points, a constant, records nothing
+        assert "pooled_rung" not in ops and ops.count("max") == 1
+        backward(loss)
+        optimizer.step()
+        for name, p in model.named_parameters():
+            assert np.isfinite(p.data).all(), name
+        for name in ("input_tnet/out/weight", "feature_tnet/out/weight"):
+            changed = dict(model.named_parameters())[name].data != before[name]
+            assert changed.any(), name
 
     def test_backward_frees_the_recorded_graph(self):
         model = build_model(tiny_config(), seed=0)

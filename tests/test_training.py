@@ -77,6 +77,25 @@ class TestAdam:
 
         assert run().tobytes() == run().tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_gives_the_bytes_of_the_formula(self, dtype):
+        rng = make_rng(43)
+        p = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=dtype)
+        data = p.data
+        ref, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        opt = AdamOptimizer([("p", p)], learning_rate=0.01)
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 4)).astype(dtype)
+            p.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            ref = ref - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert p.data is data
+        assert [a.tobytes() for a in (p.data, opt.m["p"], opt.v["p"])] == [
+            a.tobytes() for a in (ref, m, v)]
+
     def test_gradient_shape_mismatch(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         opt = AdamOptimizer([("p", p)])
