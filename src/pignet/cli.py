@@ -9,6 +9,7 @@ a copy of the effective configuration, which alone reproduces the run.
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -190,15 +191,21 @@ def _make_run_dir(cfg):
     return run_dir
 
 
+@contextlib.contextmanager
 def _logger(run_dir):
-    log_path = run_dir / "log.txt"
-
-    def log(message):
-        print(message)
-        with open(log_path, "a") as fh:
+    """A ``log(message)`` that prints and appends to the run's log.txt; a
+    failure inside the block appends the line that ``main`` prints for it."""
+    def log(message, echo=True):
+        if echo:
+            print(message)
+        with open(run_dir / "log.txt", "a") as fh:
             fh.write(f"{message}\n")
 
-    return log
+    try:
+        yield log
+    except _FAILURES as exc:
+        log(_failure(exc)[0], echo=False)
+        raise
 
 
 # the flags overriding INI keys: (flag, section, key, argparse options); a
@@ -286,31 +293,31 @@ def cmd_train(args):
     model_config = cfg.model_config(num_parts)
     _preflight(model_config, cfg, len(split.train))
     run_dir = _make_run_dir(cfg)
-    log = _logger(run_dir)
-    log(f"training {model_config.arch} on {cfg.category!r} "
-        f"({len(split.train)} shapes, {num_parts} parts) -> {run_dir}")
-    eval_fn = None
-    if split.val:
-        def eval_fn(model, epoch):
-            return evaluate_split(model, split.val, cfg.train_config.seed,
-                                  cfg.points).instance_miou
-    result = train_category(
-        split.train, model_config, cfg.train_config, cfg.augment_config,
-        cfg.points, eval_fn=eval_fn,
-        log=lambda entry: log(
-            f"epoch {entry['epoch']:4d}  loss {entry['train_loss']:.6f}"
-            + (f"  val mIoU {entry['val_instance_miou']:.4f}"
-               if "val_instance_miou" in entry else "")))
-    save_checkpoint(run_dir / "checkpoint.ckpt", result.model,
-                    result.optimizer, cfg.train_config.epochs,
-                    result.rng_state)
-    with open(run_dir / "history.tsv", "w") as fh:
-        fh.write("epoch\ttrain_loss\tval_instance_miou\n")
-        for entry in result.history:
-            val = entry.get("val_instance_miou")
-            fh.write(f"{entry['epoch']}\t{entry['train_loss']:.8f}\t"
-                     f"{'' if val is None else f'{val:.6f}'}\n")
-    log(f"checkpoint written to {run_dir / 'checkpoint.ckpt'}")
+    with _logger(run_dir) as log:
+        log(f"training {model_config.arch} on {cfg.category!r} "
+            f"({len(split.train)} shapes, {num_parts} parts) -> {run_dir}")
+        eval_fn = None
+        if split.val:
+            def eval_fn(model, epoch):
+                return evaluate_split(model, split.val, cfg.train_config.seed,
+                                      cfg.points).instance_miou
+        result = train_category(
+            split.train, model_config, cfg.train_config, cfg.augment_config,
+            cfg.points, eval_fn=eval_fn,
+            log=lambda entry: log(
+                f"epoch {entry['epoch']:4d}  loss {entry['train_loss']:.6f}"
+                + (f"  val mIoU {entry['val_instance_miou']:.4f}"
+                   if "val_instance_miou" in entry else "")))
+        save_checkpoint(run_dir / "checkpoint.ckpt", result.model,
+                        result.optimizer, cfg.train_config.epochs,
+                        result.rng_state)
+        with open(run_dir / "history.tsv", "w") as fh:
+            fh.write("epoch\ttrain_loss\tval_instance_miou\n")
+            for entry in result.history:
+                val = entry.get("val_instance_miou")
+                fh.write(f"{entry['epoch']}\t{entry['train_loss']:.8f}\t"
+                         f"{'' if val is None else f'{val:.6f}'}\n")
+        log(f"checkpoint written to {run_dir / 'checkpoint.ckpt'}")
 
 
 def cmd_eval(args):
@@ -348,13 +355,13 @@ def cmd_ablate(args):
                    key=parameter_count), cfg, len(split.train))
     eval_records = split.records(args.split) or split.train
     run_dir = _make_run_dir(cfg)
-    log = _logger(run_dir)
-    rows = ablation_run(split.train, eval_records, model_config,
-                        cfg.train_config, cfg.augment_config, cfg.points,
-                        log=lambda row: log(
-                            f"{row.name}: instance mIoU {row.instance_miou:.4f}"))
-    (run_dir / "ablation.tsv").write_text(ablation_tsv(rows))
-    log(f"ablation table written to {run_dir / 'ablation.tsv'}")
+    with _logger(run_dir) as log:
+        rows = ablation_run(
+            split.train, eval_records, model_config, cfg.train_config,
+            cfg.augment_config, cfg.points, log=lambda row: log(
+                f"{row.name}: instance mIoU {row.instance_miou:.4f}"))
+        (run_dir / "ablation.tsv").write_text(ablation_tsv(rows))
+        log(f"ablation table written to {run_dir / 'ablation.tsv'}")
 
 
 def cmd_robustness(args):
@@ -476,19 +483,26 @@ def build_parser():
     return parser
 
 
+_FAILURES = (PignetError, OSError, MemoryError)  # what main reports
+
+
+def _failure(exc):
+    """(the one stderr line, the exit status) of a command's failure."""
+    if isinstance(exc, ConfigError):
+        return f"config error: {exc}", 2
+    if isinstance(exc, FileNotFoundError):
+        return f"missing file: {exc}", 1
+    return f"error: {str(exc) or type(exc).__name__}", 1
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
-        return 1
-    except (PignetError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 1
+    except _FAILURES as exc:
+        line, status = _failure(exc)
+        print(line, file=sys.stderr)
+        return status
     return 0
 
 

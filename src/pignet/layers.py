@@ -8,7 +8,6 @@ reorders the outputs identically.
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateError, DimensionError, DomainError
 from .tensor import (Tensor, _accurate_sum, _matmul_grads, _record,
@@ -76,8 +75,8 @@ class Module:
 
         Recompute contract: the rule reads its parents' data when
         ``backward()`` runs, to recompute the conv, so nothing may write that
-        data between this forward and the optimizer step. The rule holds at
-        most two per-point arrays at once."""
+        data between this forward and the optimizer step. The rule holds one
+        per-point array, the recomputed ``xhat``, and builds ``dx`` in it."""
         conv, bn = getattr(self, f"conv{key}"), getattr(self, f"bn{key}")
         features = as_tensor(features)
         weight, gamma, beta = conv.weight, bn.gamma, bn.beta
@@ -88,27 +87,37 @@ class Module:
         out += beta.data
         np.maximum(out, 0, out=out)
         peak = out.max(axis=-2)
-        first = np.expand_dims(out.argmax(axis=-2), -2)
+        first = np.expand_dims(_first_max_row(out, peak), -2)
 
         def rule(g):
             xhat = features.data @ weight.data
             xhat -= mean
             xhat /= std
+            # the max's and the ReLU's gradient: one row per cloud, at first
+            kept_g = np.expand_dims(g * (peak > 0), -2)
 
-            def regrow(buf):  # the max's and the ReLU's gradient, in buf
-                buf.fill(0)
-                np.put_along_axis(buf, first, np.expand_dims(g * (peak > 0),
-                                                             -2), -2)
-                return buf
+            def add_g(dx):
+                np.put_along_axis(dx, first, np.take_along_axis(dx, first, -2)
+                                  + kept_g, -2)
 
             dx, d_gamma, d_beta = _normalized_grads(
-                regrow(np.empty_like(xhat)), xhat, gamma.data, std, regrow)
-            del xhat
+                kept_g, np.take_along_axis(xhat, first, -2), xhat, gamma.data,
+                std, add_g, out=xhat)
             return (*_matmul_grads(features.data, weight.data, dx), d_gamma,
                     d_beta)
 
         return _record(peak, (features, weight, gamma, beta), "pooled_rung",
                        rule)
+
+
+def _first_max_row(out, peak):
+    """``out.argmax(axis=-2)`` for ``peak = out.max(axis=-2)``, without the
+    transposed copy that ``argmax`` makes; a column with no row equal to its
+    maximum (a NaN) takes ``argmax``."""
+    n = out.shape[-2]
+    rows = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    first = np.where(out == peak[..., None, :], rows, n).min(axis=-2)
+    return out.argmax(axis=-2) if (first == n).any() else first
 
 
 class PointwiseConv(Module):
@@ -222,27 +231,27 @@ class BatchNorm(Module):
         def rule(g):
             if fuse_relu:  # in g, which the rule owns; the ReLU'd output
                 np.multiply(g, data > 0, out=g)  # is > 0 where its input was
-            return _normalized_grads(g, xhat, gamma.data, std)
+            return _normalized_grads(g, xhat, xhat, gamma.data, std,
+                                     lambda dx: np.add(dx, g, out=dx))
 
         return _record(data, (features, gamma, beta),
                        "batch_norm_relu" if fuse_relu else "batch_norm", rule)
 
 
-def _normalized_grads(g, xhat, gamma, std, regrow=None):
+def _normalized_grads(g, g_xhat, xhat, gamma, std, add_g, out=None):
     """(dx, dgamma, dbeta) of ``xhat * gamma + beta``, ``xhat`` being ``x``
-    normalized by its batch statistics, for its gradient ``g``: the closed
-    form of Ioffe & Szegedy (ICML 2015, section 3), float32 sums at float64.
-    With ``regrow``, dx is built in ``g``'s buffer, and ``regrow(xhat)``
-    writes ``g`` again over ``xhat``, unread by then, and returns it."""
+    normalized by its batch statistics: the closed form of Ioffe & Szegedy
+    (ICML 2015, section 3), float32 sums at float64, built in ``out``. ``g``
+    holds the gradient's rows that may be nonzero, every row or one per
+    cloud (a max's), ``g_xhat`` the rows of ``xhat`` they meet, and
+    ``add_g(dx)`` adds ``g`` into ``dx`` at those rows."""
     axes = tuple(range(g.ndim - 1))
-    rows = math.prod(g.shape[:-1])
+    rows = math.prod(xhat.shape[:-1])
     sum_g = _accurate_sum(g, axes)
-    g_xhat = np.multiply(g, xhat, out=None if regrow is None else g)
-    sum_gx = _accurate_sum(g_xhat, axes)
-    # dx = gamma / std * (g - sum(g) / N - xhat * sum(g * xhat) / N),
-    # built in the buffer of g * xhat
-    dx = np.multiply(xhat, sum_gx / -rows, out=g_xhat)
-    dx += g if regrow is None else regrow(xhat)
+    sum_gx = _accurate_sum(g * g_xhat, axes)
+    # dx = gamma / std * (g - sum(g) / N - xhat * sum(g * xhat) / N)
+    dx = np.multiply(xhat, sum_gx / -rows, out=out)
+    add_g(dx)
     dx -= sum_g / rows
     dx *= gamma * (1.0 / std)
     return dx, sum_gx, sum_g
@@ -297,31 +306,40 @@ def channel_window_max(features):
     edge-replicated.
 
     The output has the same width as the input, and each point row is pooled
-    independently, so the op is point-permutation equivariant. Ties inside a
-    window resolve to the leftmost channel.
+    independently, so the op is point-permutation equivariant. The output is
+    ``max(max(left, own), right)``: a tie, -0.0 against +0.0 included, goes
+    to the first of (left, own, right), and so does the gradient; an edge
+    window's missing neighbour is its own channel.
     """
     features = as_tensor(features)
     x = features.data
-    k = x.shape[-1]
-    if k == 0:
+    if x.shape[-1] == 0:
         raise DomainError("cannot pool over an empty channel axis")
 
     def rule(g):
-        # the first of (left, own, right) holding the maximum, mapped back to
-        # a clamped source channel; window j of ``edged`` is channel j's
-        edged = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
-        offset = sliding_window_view(edged, 3, axis=-1).argmax(axis=-1)
-        src = np.clip(np.arange(k) - 1 + offset, 0, k - 1)
+        # window c's gradient goes to the first of its left, own and right
+        # channels holding its maximum; ge[c] compares channels c and c + 1
+        ge = x[..., :-1] >= x[..., 1:]
+        back = ge.copy()  # window c + 1 sends to c: its left wins
+        back[..., :-1] &= x[..., :-2] >= x[..., 2:]
+        ahead = ~ge  # window c sends to c + 1: its left and own lose
+        ahead[..., 1:] &= ~back[..., :-1]
+        stay = np.ones(x.shape, bool)
+        stay[..., 1:] = ~back
+        stay[..., :-1] &= ~ahead
+        # into zeros in the order of a scatter-add over the windows: window
+        # c - 1's right, c's own, c + 1's left (a masked -0.0 adds as +0.0)
         gx = np.zeros_like(x)
-        flat_gx = gx.reshape(-1, k)
-        rows = np.arange(flat_gx.shape[0])[:, None]
-        np.add.at(flat_gx, (rows, src.reshape(-1, k)), g.reshape(-1, k))
+        gx[..., 1:] += np.where(ahead, g[..., :-1], 0)
+        gx += np.where(stay, g, 0)
+        gx[..., :-1] += np.where(back, g[..., 1:], 0)
         return (gx,)
 
-    left = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
-    right = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
-    return _record(np.maximum(np.maximum(left, x), right), (features,),
-                   "channel_window_max", rule)
+    out = np.empty_like(x)
+    out[..., :1] = x[..., :1]
+    np.maximum(x[..., :-1], x[..., 1:], out=out[..., 1:])  # left, own
+    np.maximum(out[..., :-1], x[..., 1:], out=out[..., :-1])  # then right
+    return _record(out, (features,), "channel_window_max", rule)
 
 
 class TNet(Ladder):

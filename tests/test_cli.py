@@ -13,7 +13,7 @@ import pignet.evaluation
 import pignet.training
 from pignet.cli import build_parser, main, load_run_config
 from pignet.data import load_split
-from pignet.errors import ConfigError
+from pignet.errors import ConfigError, DomainError
 from pignet.evaluation import PART_PALETTE, robustness_run, robustness_tsv
 from pignet.model import ModelConfig, build_model, parameter_count
 from pignet.training import MAGIC, model_from_checkpoint, save_checkpoint
@@ -432,6 +432,23 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, lamp_root,
     assert run(tiny_train_args(tmp_path, lamp_root)) == 1
     assert capsys.readouterr().err == (
         "error: Unable to allocate 2.98 GiB for an array\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_failed_run_says_so_last_in_its_log(tmp_path, capsys, lamp_root,
+                                            monkeypatch, command):
+    def diverge(*args, **kwargs):
+        raise DomainError("loss is nan at epoch 0, batch 0")
+
+    monkeypatch.setattr(pignet.cli, "train_category", diverge)
+    monkeypatch.setattr(pignet.evaluation, "train_category", diverge)
+    args = tiny_train_args(tmp_path, lamp_root)
+    args[0] = command
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: loss is nan at epoch 0, batch 0\n"
+    (run_dir,) = find_run_dirs(tmp_path / "runs")
+    assert (run_dir / "log.txt").read_text().splitlines()[-1] == err[:-1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow

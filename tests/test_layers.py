@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pignet.errors import DegenerateError, DimensionError
 from pignet.layers import (BatchNorm, Ladder, PointwiseConv, TNet,
-                           channel_window_max, global_average_pool,
-                           max_over_points, orthogonality_regularizer)
+                           _first_max_row, channel_window_max,
+                           global_average_pool, max_over_points,
+                           orthogonality_regularizer)
 from pignet.seeding import make_rng
 from pignet.tensor import (Tensor, backward, finite_diff_check, reduce_max,
                            reduce_sum, relu)
@@ -285,6 +288,45 @@ class TestChannelWindowMax:
         backward(reduce_sum(out))
         assert np.isclose(x.grad.sum(), out.size)
 
+    @staticmethod
+    def scatter_add_reference(x, g):
+        """The op as it was first written: two concatenated neighbours for
+        the output; for the gradient, each window's first argmax over the
+        edge-replicated row, clamped, and ``np.add.at``."""
+        k = x.shape[-1]
+        left = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
+        right = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
+        edged = np.concatenate([x[..., :1], x, x[..., -1:]], axis=-1)
+        offset = np.lib.stride_tricks.sliding_window_view(
+            edged, 3, axis=-1).argmax(axis=-1)
+        src = np.clip(np.arange(k) - 1 + offset, 0, k - 1)
+        gx = np.zeros_like(x)
+        flat = gx.reshape(-1, k)
+        np.add.at(flat, (np.arange(flat.shape[0])[:, None],
+                         src.reshape(-1, k)), g.reshape(-1, k))
+        return np.maximum(np.maximum(left, x), right), gx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_of_the_scatter_add_reference(self, dtype):
+        # ties everywhere, -0.0 against +0.0 in x and in g, ranks 2 and 3
+        rng = np.random.default_rng(15)
+        values = [-1.0, -0.0, 0.0, 0.5, 1.0]
+        for k in (1, 2, 3, 4, 7):
+            for shape in ((5, k), (2, 4, k)):
+                for draw in (lambda: rng.choice(values, size=shape),
+                             lambda: rng.normal(size=shape)):
+                    x = draw().astype(dtype)
+                    g = rng.normal(size=shape)  # sums that round
+                    zero = rng.random(shape) < 0.3
+                    g[zero] = rng.choice([-0.0, 0.0], size=zero.sum())
+                    g = g.astype(dtype)
+                    out = channel_window_max(Tensor(x, requires_grad=True))
+                    (gx,) = out._backward_fn(g.copy())
+                    values_ref, gx_ref = self.scatter_add_reference(x, g)
+                    assert out.data.tobytes() == values_ref.tobytes()
+                    assert gx.dtype == dtype
+                    assert gx.tobytes() == gx_ref.tobytes()
+
 
 class TestPooledRung:
     """One node for the max over points of a rung's output, against
@@ -330,6 +372,44 @@ class TestPooledRung:
                   if isinstance(c.cell_contents, np.ndarray)]
         # the batch mean and std, the maxima and their first rows
         assert sorted(a.size for a in arrays) == [4, 4, 8, 8]
+
+    def test_rule_holds_one_per_point_array(self):
+        # the recomputed xhat, in which dx is built, and the rule's two
+        # products; the shared-weight product copies the (narrow) input
+        batch, n, c_in, c = 4, 128, 8, 512
+        ladder = Ladder(c_in, (c,), make_rng(31))
+        inputs = Tensor(np.random.default_rng(32).normal(
+            size=(batch, n, c_in)), requires_grad=True)
+        out = ladder._pooled_rung(0, inputs)
+        g = np.random.default_rng(33).normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            grads = out._backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_point = batch * n * c * 8
+        outputs = grads[0].nbytes + grads[1].nbytes
+        kept_rows = 8 * batch * c * 8  # a few (B, c) arrays
+        assert peak - before <= (per_point + outputs + inputs.data.nbytes
+                                 + kept_rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_max_row_is_argmax_s(self, dtype):
+        rng = np.random.default_rng(34)
+        tied = np.maximum(np.round(rng.normal(size=(3, 255, 6))), 0)
+        tied[..., 4] = 0.0  # a dead channel: row 0
+        cases = [tied, tied[0], rng.normal(size=(2, 300, 5))]
+        with_nan = rng.normal(size=(2, 6, 3))
+        with_nan[1, 4, 0] = np.nan  # no row equals its column's maximum
+        for out in cases + [with_nan]:
+            out = out.astype(dtype)
+            first = _first_max_row(out, out.max(axis=-2))
+            assert np.array_equal(first, out.argmax(axis=-2))
+        # a NaN column falls back to argmax, so a non-finite batch still
+        # reaches its backward (``_train_step``'s DomainError, tested there)
+        assert _first_max_row(with_nan, with_nan.max(axis=-2))[1, 0] == 4
 
 
 class TestTNet:
